@@ -106,13 +106,14 @@ GATES = {
         "key": ("n", "shards", "batch", "backend"),
         "metrics": ("bank_bytes",),
     },
-    # v4 round wire cost: coordinator wire bytes are deterministic per
-    # config and must not regress; every row must stay bit-identical to the
-    # sequential engine and the document-level delta_reduction_ok flag
-    # enforces the >= 5x frontier-sparse reduction. Wall time per round is
-    # host-dependent and never gated.
+    # Net-engine round wire cost: coordinator wire bytes are deterministic
+    # per config and must not regress; every row must stay bit-identical to
+    # the sequential engine and never exceed its fixed-format cost, and the
+    # document-level delta_reduction_ok flag enforces the >= 5x
+    # frontier-sparse reduction (fixed-format bytes over wire bytes, one
+    # run). Wall time per round is host-dependent and never gated.
     "f16_round_wire": {
-        "key": ("workload", "delta", "pipeline", "threads"),
+        "key": ("workload", "threads"),
         "metrics": ("wire_bytes", "rounds", "messages"),
     },
 }

@@ -1,6 +1,6 @@
 #pragma once
 
-// Wire codec for CONGEST boundary messages (protocol v4).
+// Wire codec for CONGEST boundary messages (since protocol v4).
 //
 // A boundary message addresses a directed-edge mailbox: slot = 2 * edge +
 // dir, the same indexing BspRunner's double-buffered mailboxes use. The
@@ -42,14 +42,8 @@
 namespace deck {
 
 /// One boundary message as framed on the wire: the directed edge it
-/// crosses plus the payload.
-struct WirePacket {
-  EdgeId edge = kNoEdge;
-  std::uint8_t dir = 0;  // 0: u -> v, 1: v -> u
-  Packet msg;
-
-  friend bool operator==(const WirePacket&, const WirePacket&) = default;
-};
+/// crosses plus the payload — exactly the remote send a BspRunner emits.
+using WirePacket = detail::BspRunner::RemoteSend;
 
 /// Encoded size of one fixed-format packet: 3 × u32 + 3 × u64.
 inline constexpr std::size_t kFixedPacketBytes = 36;

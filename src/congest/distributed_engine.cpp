@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdlib>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -42,13 +41,16 @@ struct NetEngineMetrics {
   obs::Counter& full_frames = obs::Registry::global().counter("congest.net.full_frames");
   obs::Histogram& round_wire_bytes =
       obs::Registry::global().histogram("congest.net.round_wire_bytes");
+  // What the same round frames would have cost in the fixed packet format:
+  // the delta codec's saving is round_fixed_bytes over round_wire_bytes.
+  obs::Counter& round_fixed_bytes =
+      obs::Registry::global().counter("congest.net.round_fixed_bytes");
   obs::Histogram& barrier_wait_ns =
       obs::Registry::global().histogram("congest.net.barrier_wait_ns");
   obs::Histogram& checkpoint_bytes =
       obs::Registry::global().histogram("congest.net.checkpoint_bytes");
-  // Worker-side: how long the protocol thread blocks shipping a frame /
-  // waiting for the next one. Pipelining shrinks exactly these waits —
-  // bench_a2_breakdown's attribution signal for the overlap win.
+  // Worker-side: how long the protocol loop blocks shipping a frame /
+  // waiting for the next one.
   obs::Histogram& send_wait_ns =
       obs::Registry::global().histogram("congest.net.send_thread_wait_ns");
   obs::Histogram& recv_wait_ns =
@@ -77,18 +79,21 @@ std::uint32_t packed_head(CongestMsg type, std::uint32_t flags, int round) {
 CongestMsg head_type(std::uint32_t head) { return static_cast<CongestMsg>(head & 0xffu); }
 
 /// Per-link round-frame codec pair for one execution: tx encodes the
-/// frames this end ships, rx decodes the frames it receives. Disabled
-/// (delta_frames off) still routes through decode() for the fixed format.
+/// frames this end ships, rx decodes the frames it receives.
 struct RoundCodecs {
-  bool enabled = false;
   DeltaCodec tx, rx;
 
-  void arm(EdgeId num_edges, bool delta) {
-    enabled = delta;
+  void reset(EdgeId num_edges) {
     tx.reset(num_edges);
     rx.reset(num_edges);
   }
 };
+
+/// Size of a round frame whose `count` packets sit after `header_bytes` of
+/// head words, had its body used the fixed packet format.
+std::uint64_t fixed_frame_bytes(std::size_t header_bytes, std::uint32_t count) {
+  return header_bytes + static_cast<std::uint64_t>(count) * kFixedPacketBytes;
+}
 
 /// Contiguous vertex partition: active worker w owns [lo(w), lo(w + 1)).
 VertexId range_lo(int n, int workers, int w) {
@@ -270,10 +275,9 @@ class DistributedEngine final : public Engine {
     // link reset at Start, so the shared encoder model never straddles
     // executions. A worker death discards its pair; the survivor's tx
     // codec simply encodes the adopted link's unseen slots explicitly.
-    const bool delta = hub_->options().delta_frames;
     const int cp_interval = hub_->options().checkpoint_interval;
     std::vector<RoundCodecs> codecs(static_cast<std::size_t>(workers));
-    for (RoundCodecs& c : codecs) c.arm(g_->num_edges(), delta);
+    for (RoundCodecs& c : codecs) c.reset(g_->num_edges());
 
     std::vector<std::uint8_t> frame;
     std::vector<char> tracing_from(static_cast<std::size_t>(workers), 0);
@@ -287,8 +291,6 @@ class DistributedEngine final : public Engine {
       net::put_u32(frame, trace_on ? 1 : 0);
       net::put_u64(frame, ctx.trace_id);
       net::put_u64(frame, ctx.span_id);
-      net::put_u32(frame, delta ? 1u : 0u);  // execution flags, bit 0: delta frames
-      net::put_u32(frame, static_cast<std::uint32_t>(cp_interval));
       net::put_bytes(frame, spec);
       try {
         hub_->worker(w).send(frame);
@@ -302,6 +304,7 @@ class DistributedEngine final : public Engine {
     std::uint64_t boundary_total = 0;
     for (int round = 1;; ++round) {
       std::uint64_t round_wire = 0;  // RoundDone bytes in + kRound bytes out
+      std::uint64_t round_fixed = 0;  // the same frames in the fixed format
       std::optional<obs::Span> round_span;
       if (trace_on && round <= kNetMaxRoundSpans) {
         round_span.emplace("round");
@@ -354,13 +357,11 @@ class DistributedEngine final : public Engine {
                            " stamped round " + std::to_string(head >> 16) +
                            " at barrier round " + std::to_string(round));
           const bool body_delta = (flags & 1u) != 0;
-          if (body_delta && !delta)
-            throw NetError("congest: delta RoundDone from worker " + std::to_string(w) +
-                           " but delta frames are disabled");
           total += r.u64();
           const std::uint32_t boundary = r.u32();
           boundary_total += boundary;
           round_wire += done.size();
+          round_fixed += fixed_frame_bytes(done.size() - r.remaining(), boundary);
           if (obs::enabled())
             (body_delta ? NetEngineMetrics::get().delta_frames
                         : NetEngineMetrics::get().full_frames)
@@ -430,16 +431,14 @@ class DistributedEngine final : public Engine {
             wire_pkts.insert(wire_pkts.end(), rg.cur_wire.begin(), rg.cur_wire.end());
         std::uint32_t flags = want_cp ? 2u : 0u;
         body.clear();
-        if (delta) {
-          if (codecs[static_cast<std::size_t>(w)].tx.encode(body, wire_pkts)) flags |= 1u;
-        } else {
-          for (const WirePacket& p : wire_pkts) encode_packet_fixed(body, p.edge, p.dir, p.msg);
-        }
+        if (codecs[static_cast<std::size_t>(w)].tx.encode(body, wire_pkts)) flags |= 1u;
         frame.clear();
         net::put_u32(frame, packed_head(CongestMsg::kRound, flags, round));
         net::put_u32(frame, static_cast<std::uint32_t>(wire_pkts.size()));
         net::put_bytes(frame, body);
         round_wire += frame.size();
+        round_fixed += fixed_frame_bytes(frame.size() - body.size(),
+                                         static_cast<std::uint32_t>(wire_pkts.size()));
         if (obs::enabled())
           ((flags & 1u) != 0 ? NetEngineMetrics::get().delta_frames
                              : NetEngineMetrics::get().full_frames)
@@ -451,7 +450,10 @@ class DistributedEngine final : public Engine {
           if (hub_->num_alive() == 0) throw;
         }
       }
-      if (obs::enabled()) NetEngineMetrics::get().round_wire_bytes.observe(round_wire);
+      if (obs::enabled()) {
+        NetEngineMetrics::get().round_wire_bytes.observe(round_wire);
+        NetEngineMetrics::get().round_fixed_bytes.add(round_fixed);
+      }
       // Extend every range's replay log with this round's deliveries —
       // unconditionally, so recovery is possible from round 1 even with
       // checkpoints off. Logs always store the fixed encoding: Restore
@@ -798,10 +800,6 @@ class HeartbeatPump {
 
 struct WorkerRange {
   VertexId lo = 0, hi = 0;
-  // interior[v] != 0: every neighbor of v lies inside [lo, hi), so v can
-  // neither receive a boundary delivery nor produce a remote send —
-  // eligible for split-round eager stepping. Computed once per range.
-  std::vector<char> interior;
 };
 
 struct WorkerGraph {
@@ -809,26 +807,11 @@ struct WorkerGraph {
   std::vector<WorkerRange> ranges;  // grows as orphaned ranges are adopted
 };
 
-/// Marks the vertices of [lo, hi) whose neighborhoods are entirely owned.
-std::vector<char> interior_mask(const Graph& g, VertexId lo, VertexId hi) {
-  std::vector<char> mask(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (VertexId v = lo; v < hi; ++v) {
-    char inside = 1;
-    for (const Adj& a : g.neighbors(v))
-      if (a.to < lo || a.to >= hi) {
-        inside = 0;
-        break;
-      }
-    mask[static_cast<std::size_t>(v)] = inside;
-  }
-  return mask;
-}
-
 struct WorkerState {
   WorkerLink link;
   WorkerOptions opts;
   std::unique_ptr<ThreadPool> owned_pool;  // pool×net stepping when threads > 0
-  RoundCodecs codecs;                      // round-frame codecs, re-armed per Start
+  RoundCodecs codecs;                      // round-frame codecs, reset per Start
   int round_frames = 0;                    // kill_after_rounds clock
 
   WorkerState(Transport& transport, const WorkerOptions& options)
@@ -841,244 +824,44 @@ struct WorkerState {
   ThreadPool* step_pool() const {
     return opts.pool != nullptr ? opts.pool : owned_pool.get();
   }
-};
 
-/// Serializes one RoundDone through the worker's tx codec (or the fixed
-/// format when delta is off). Must run in codec FIFO order.
-void encode_round_done(std::vector<std::uint8_t>& frame, int round, std::uint64_t sent,
-                       std::span<const WirePacket> packets, RoundCodecs& codecs) {
-  std::vector<std::uint8_t> body;
-  std::uint32_t flags = 0;
-  if (codecs.enabled) {
-    if (codecs.tx.encode(body, packets)) flags |= 1u;
-  } else {
-    for (const WirePacket& p : packets) encode_packet_fixed(body, p.edge, p.dir, p.msg);
-  }
-  net::put_u32(frame, packed_head(CongestMsg::kRoundDone, flags, round));
-  net::put_u64(frame, sent);
-  net::put_u32(frame, static_cast<std::uint32_t>(packets.size()));
-  net::put_bytes(frame, body);
-}
-
-std::vector<WirePacket> to_wire(const std::vector<BspRunner::RemoteSend>& sends) {
-  std::vector<WirePacket> out;
-  out.reserve(sends.size());
-  for (const BspRunner::RemoteSend& s : sends)
-    out.push_back(WirePacket{s.edge, s.dir, s.msg});
-  return out;
-}
-
-/// Worker comm pipeline (WorkerOptions::pipeline): a dedicated send thread
-/// serializes and ships outbound frames from a bounded FIFO — so encoding
-/// round R's RoundDone overlaps with stepping round R + 1's interior — and
-/// a dedicated recv thread reads ahead (the protocol is flow-controlled, so
-/// the read-ahead queue stays shallow). With pipelining off the same calls
-/// run inline: one protocol code path either way.
-///
-/// RoundDone jobs are encoded *on the send thread* through the execution's
-/// RoundCodecs; keeping every outbound frame except heartbeats in the FIFO
-/// preserves codec order. flush() must drain the FIFO before the codecs are
-/// re-armed for the next execution. Both modes record how long the protocol
-/// thread blocks on comm into the send/recv wait histograms.
-class CommPipe {
- public:
-  CommPipe(Transport& t, WorkerLink& link, RoundCodecs& codecs, bool pipelined)
-      : t_(t), link_(link), codecs_(codecs), pipelined_(pipelined) {
-    if (!pipelined_) return;
-    send_thread_ = std::thread([this] { send_loop(); });
-    recv_thread_ = std::thread([this] { recv_loop(); });
+  /// Ships one protocol frame, timing the block into send_thread_wait_ns.
+  void send(const std::vector<std::uint8_t>& frame) {
+    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
+    link.send(frame);
+    if (obs::enabled()) NetEngineMetrics::get().send_wait_ns.observe(obs::now_ns() - t0);
   }
 
-  ~CommPipe() { abort(); }
-
-  /// Ships (or enqueues) one RoundDone; pipelined, the serialization cost
-  /// moves off the protocol thread.
-  void send_round_done(int round, std::uint64_t sent, std::vector<WirePacket> packets) {
-    if (!pipelined_) {
-      std::vector<std::uint8_t> frame;
-      encode_round_done(frame, round, sent, packets, codecs_);
-      const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-      link_.send(frame);
-      if (obs::enabled()) NetEngineMetrics::get().send_wait_ns.observe(obs::now_ns() - t0);
-      return;
-    }
-    SendJob job;
-    job.round_done = true;
-    job.round = round;
-    job.sent = sent;
-    job.packets = std::move(packets);
-    enqueue(std::move(job));
-  }
-
-  /// Ships (or enqueues) an already-encoded frame.
-  void send_frame(std::vector<std::uint8_t> frame) {
-    if (!pipelined_) {
-      const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-      link_.send(frame);
-      if (obs::enabled()) NetEngineMetrics::get().send_wait_ns.observe(obs::now_ns() - t0);
-      return;
-    }
-    SendJob job;
-    job.raw = std::move(frame);
-    enqueue(std::move(job));
-  }
-
-  /// Next inbound frame; nullopt on orderly close. Comm-thread faults
-  /// resurface here as typed NetErrors.
+  /// Next protocol frame (nullopt on orderly close), timing the block into
+  /// recv_thread_wait_ns.
   std::optional<std::vector<std::uint8_t>> recv() {
     const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-    if (!pipelined_) {
-      std::optional<std::vector<std::uint8_t>> f = t_.recv();
-      if (obs::enabled()) NetEngineMetrics::get().recv_wait_ns.observe(obs::now_ns() - t0);
-      return f;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_main_.wait(lock, [this] { return !recvq_.empty() || recv_done_ || stop_; });
+    std::optional<std::vector<std::uint8_t>> f = link.t.recv();
     if (obs::enabled()) NetEngineMetrics::get().recv_wait_ns.observe(obs::now_ns() - t0);
-    if (!recvq_.empty()) {
-      std::vector<std::uint8_t> f = std::move(recvq_.front());
-      recvq_.pop_front();
-      return f;
-    }
-    if (!recv_error_.empty()) throw NetError(recv_error_);
-    return std::nullopt;
+    return f;
   }
 
-  /// Blocks until every enqueued frame left the transport; rethrows send
-  /// faults. Call before re-arming the codecs or finishing an execution —
-  /// queued RoundDone jobs reference the current codec state.
-  void flush() {
-    if (!pipelined_) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_main_.wait(lock, [this] { return pending_ == 0 || stop_; });
-    if (!send_error_.empty()) throw NetError(send_error_);
+  /// Ships one RoundDone, its boundary messages encoded through the tx
+  /// codec (frames must leave in codec order).
+  void send_round_done(int round, std::uint64_t sent, std::span<const WirePacket> packets) {
+    std::vector<std::uint8_t> body;
+    const std::uint32_t flags = codecs.tx.encode(body, packets) ? 1u : 0u;
+    std::vector<std::uint8_t> frame;
+    net::put_u32(frame, packed_head(CongestMsg::kRoundDone, flags, round));
+    net::put_u64(frame, sent);
+    net::put_u32(frame, static_cast<std::uint32_t>(packets.size()));
+    net::put_bytes(frame, body);
+    send(frame);
   }
-
-  /// Tears the comm threads down (scheduled deaths, worker exit): raises
-  /// stop, wakes a blocked receive via Transport::interrupt, discards any
-  /// unsent frames, joins. Idempotent; called by the destructor.
-  void abort() {
-    if (!pipelined_) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) return;
-      stop_ = true;
-    }
-    cv_send_.notify_all();
-    cv_main_.notify_all();
-    try {
-      t_.interrupt();
-    } catch (...) {
-    }
-    if (send_thread_.joinable()) send_thread_.join();
-    if (recv_thread_.joinable()) recv_thread_.join();
-  }
-
- private:
-  struct SendJob {
-    std::vector<std::uint8_t> raw;  // pre-encoded frame when !round_done
-    bool round_done = false;
-    int round = 0;
-    std::uint64_t sent = 0;
-    std::vector<WirePacket> packets;
-  };
-
-  static constexpr std::size_t kSendQueueCap = 16;
-
-  void enqueue(SendJob job) {
-    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_main_.wait(lock, [this] { return sendq_.size() < kSendQueueCap || stop_; });
-    if (obs::enabled()) NetEngineMetrics::get().send_wait_ns.observe(obs::now_ns() - t0);
-    if (stop_) throw NetError("congest: send on a torn-down worker comm pipe");
-    if (!send_error_.empty()) throw NetError(send_error_);
-    sendq_.push_back(std::move(job));
-    ++pending_;
-    cv_send_.notify_one();
-  }
-
-  void send_loop() {
-    for (;;) {
-      SendJob job;
-      bool discard = false;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_send_.wait(lock, [this] { return !sendq_.empty() || stop_; });
-        if (sendq_.empty()) return;  // stop with a drained queue
-        job = std::move(sendq_.front());
-        sendq_.pop_front();
-        // After stop or a fault the pipe only completes bookkeeping —
-        // dropping the frames keeps flush() from hanging on a dead link.
-        discard = stop_ || !send_error_.empty();
-      }
-      if (!discard) {
-        try {
-          if (job.round_done) {
-            std::vector<std::uint8_t> frame;
-            encode_round_done(frame, job.round, job.sent, job.packets, codecs_);
-            link_.send(frame);
-          } else {
-            link_.send(job.raw);
-          }
-        } catch (const std::exception& e) {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (send_error_.empty()) send_error_ = e.what();
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      --pending_;
-      cv_main_.notify_all();
-    }
-  }
-
-  void recv_loop() {
-    for (;;) {
-      std::optional<std::vector<std::uint8_t>> f;
-      try {
-        f = t_.recv();
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (recv_error_.empty()) recv_error_ = e.what();
-        recv_done_ = true;
-        cv_main_.notify_all();
-        return;
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!f) {
-        recv_done_ = true;
-        cv_main_.notify_all();
-        return;
-      }
-      recvq_.push_back(std::move(*f));
-      cv_main_.notify_all();
-      if (stop_) return;
-    }
-  }
-
-  Transport& t_;
-  WorkerLink& link_;
-  RoundCodecs& codecs_;
-  const bool pipelined_;
-  std::thread send_thread_, recv_thread_;
-  std::mutex mu_;
-  std::condition_variable cv_send_;   // wakes the send thread
-  std::condition_variable cv_main_;   // wakes the protocol thread
-  std::deque<SendJob> sendq_;
-  std::deque<std::vector<std::uint8_t>> recvq_;
-  std::size_t pending_ = 0;  // enqueued frames not yet shipped (or dropped)
-  std::string send_error_, recv_error_;
-  bool recv_done_ = false;
-  bool stop_ = false;
 };
 
 /// The scripted death point: close-and-throw by default (in-process fleets
 /// must not nuke the host), SIGKILL when the worker is its own process.
-[[noreturn]] void die_on_schedule(WorkerState& st, CommPipe& pipe) {
+[[noreturn]] void die_on_schedule(WorkerState& st) {
   if (st.opts.hard_kill) {
     std::raise(SIGKILL);
     std::abort();  // unreachable; keeps [[noreturn] ] honest if SIGKILL is blocked
   }
-  pipe.abort();
   try {
     st.link.t.close();
   } catch (...) {
@@ -1105,8 +888,7 @@ WorkerGraph decode_graph(net::WireReader& r) {
   range.hi = static_cast<VertexId>(r.u32());
   if (range.lo < 0 || range.hi < range.lo || range.hi > static_cast<VertexId>(n))
     throw NetError("congest: LoadGraph vertex range is malformed");
-  range.interior = interior_mask(wg.g, range.lo, range.hi);
-  wg.ranges.push_back(std::move(range));
+  wg.ranges.push_back(range);
   return wg;
 }
 
@@ -1141,6 +923,9 @@ std::pair<WorkerUnit, int> build_restored_unit(WorkerState& st, WorkerGraph& wg,
       throw NetError("congest: Restore checkpoint does not match the adopted range");
   }
   const std::uint32_t replay_rounds = r.u32();
+  // Every replay entry carries at least its round and count words.
+  if (replay_rounds > r.remaining() / 8)
+    throw NetError("congest: Restore replay round count longer than frame");
   std::vector<std::pair<int, std::vector<WirePacket>>> replay;
   replay.reserve(replay_rounds);
   for (std::uint32_t i = 0; i < replay_rounds; ++i) {
@@ -1157,8 +942,7 @@ std::pair<WorkerUnit, int> build_restored_unit(WorkerState& st, WorkerGraph& wg,
   u.lo = lo;
   u.hi = hi;
   u.prog = decode_congest_program(program_id, r.rest());
-  u.runner = std::make_unique<BspRunner>(wg.g, lo, hi, st.step_pool(),
-                                         interior_mask(wg.g, lo, hi));
+  u.runner = std::make_unique<BspRunner>(wg.g, lo, hi, st.step_pool());
   int next = 1;
   if (cp_present != 0) {
     u.prog->setup(wg.g);
@@ -1169,7 +953,7 @@ std::pair<WorkerUnit, int> build_restored_unit(WorkerState& st, WorkerGraph& wg,
   } else {
     u.runner->start(*u.prog);
   }
-  std::vector<BspRunner::RemoteSend> discard;
+  std::vector<WirePacket> discard;
   for (const auto& [q, packets] : replay) {
     if (q != next) throw NetError("congest: Restore replay rounds are not consecutive");
     discard.clear();
@@ -1192,13 +976,6 @@ struct StartTrace {
   std::uint64_t parent_span = 0;  // coordinator's net.execute span
 };
 
-/// Per-execution knobs a Start message carries.
-struct ExecConfig {
-  bool delta = false;    // Start exec flags bit 0 (coordinator's choice)
-  bool pipeline = false; // this worker's WorkerOptions::pipeline
-  int cp_interval = 0;   // coordinator's checkpoint cadence, for the eager gate
-};
-
 /// Executes one Start to quiescence; returns after shipping per-range
 /// Outputs (and, when the Start asked for tracing, the worker's span buffer
 /// as kTraceData). Mid-phase Restore frames adopt orphaned ranges into the
@@ -1209,9 +986,9 @@ struct ExecConfig {
 /// share the coordinator's process, and sink-recorded events would surface
 /// twice (once drained locally, once shipped back). The local buffer keeps
 /// exactly one copy — the shipped one — on every deployment shape.
-void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, WorkerGraph& wg,
+void run_program(WorkerState& st, std::uint32_t graph_id, WorkerGraph& wg,
                  std::uint32_t program_id, std::span<const std::uint8_t> spec,
-                 const StartTrace& trace, const ExecConfig& cfg) {
+                 const StartTrace& trace) {
   std::vector<WorkerUnit> units;
   for (const WorkerRange& range : wg.ranges) {
     if (range.lo >= range.hi) continue;
@@ -1219,7 +996,7 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
     u.lo = range.lo;
     u.hi = range.hi;
     u.prog = decode_congest_program(program_id, spec);
-    u.runner = std::make_unique<BspRunner>(wg.g, u.lo, u.hi, st.step_pool(), range.interior);
+    u.runner = std::make_unique<BspRunner>(wg.g, u.lo, u.hi, st.step_pool());
     u.runner->start(*u.prog);
     units.push_back(std::move(u));
   }
@@ -1254,19 +1031,18 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
     throw NetError("congest: delivery for a vertex this worker does not own");
   };
 
-  std::vector<BspRunner::RemoteSend> boundary;
+  std::vector<WirePacket> boundary;
   std::vector<std::uint8_t> frame;
   std::uint64_t rounds = 0, messages = 0;
 
-  // Round 1 runs before the loop. Each iteration then ships RoundDone for
-  // `round`, optionally half-steps round + 1's interior while the frames
-  // are in flight, and completes round + 1 once the coordinator's verdict
-  // arrives.
-  int round = 1;
-  std::uint64_t sent = 0;
-  {
+  // Each iteration steps `round`, ships its RoundDone, and waits for the
+  // coordinator's verdict: a Round frame (deliver, then step the next
+  // round), Collect (quiescent: ship outputs), or Restore (adopt a range
+  // and report its round-`round` contribution, then keep waiting).
+  for (int round = 1;; ++round) {
     const bool round_traced = trace.tracing && round <= kNetMaxRoundSpans;
     const std::uint64_t round_start = round_traced ? obs::now_ns() : 0;
+    std::uint64_t sent = 0;
     for (WorkerUnit& u : units) sent += u.runner->run_round(round, &boundary);
     if (round_traced) {
       obs::TraceEvent& ev =
@@ -1274,24 +1050,13 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
       ev.args.emplace_back("round", static_cast<std::uint64_t>(round));
       ev.args.emplace_back("sent", sent);
     }
-  }
-  for (;;) {
     rounds += sent != 0 ? 1 : 0;
     messages += sent;
-    pipe.send_round_done(round, sent, to_wire(boundary));
+    st.send_round_done(round, sent, boundary);
     boundary.clear();
 
-    // Eager half-step: our own sends guarantee the coordinator continues
-    // (total > 0 at the barrier ⇒ a kRound verdict is coming), and skipping
-    // checkpoint-cadence rounds keeps save_resume outside any split.
-    const bool eager = cfg.pipeline && sent > 0 &&
-                       !(cfg.cp_interval > 0 && round % cfg.cp_interval == 0);
-    std::uint64_t eager_sent = 0;
-    if (eager)
-      for (WorkerUnit& u : units) eager_sent += u.runner->run_round_interior(round + 1, &boundary);
-
     for (bool advance = false; !advance;) {
-      std::optional<std::vector<std::uint8_t>> reply_opt = pipe.recv();
+      std::optional<std::vector<std::uint8_t>> reply_opt = st.recv();
       if (!reply_opt)
         throw NetError("congest: worker closed while waiting for Round/Collect/Restore");
       const std::vector<std::uint8_t> reply = std::move(*reply_opt);
@@ -1301,22 +1066,17 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
         case CongestMsg::kRound: {
           ++st.round_frames;
           if (st.opts.kill_after_rounds > 0 && st.round_frames == st.opts.kill_after_rounds)
-            die_on_schedule(st, pipe);
+            die_on_schedule(st);
           const std::uint32_t flags = (head >> 8) & 0xffu;
           if (head >> 16 != (static_cast<std::uint32_t>(round) & 0xffffu))
             throw NetError("congest: stale Round frame — coordinator stamped round " +
                            std::to_string(head >> 16) + ", worker is at round " +
                            std::to_string(round));
-          const bool body_delta = (flags & 1u) != 0;
-          if (body_delta && !cfg.delta)
-            throw NetError("congest: delta Round frame but delta frames are disabled");
           const std::uint32_t count = r.u32();
-          for (const WirePacket& p : st.codecs.rx.decode(r, count, body_delta))
+          for (const WirePacket& p : st.codecs.rx.decode(r, count, (flags & 1u) != 0))
             deliver(round, p);
           if ((flags & 2u) != 0) {
             for (const WorkerUnit& u : units) {
-              if (u.runner->split_open())
-                throw NetError("congest: checkpoint requested inside a pipelined round");
               CheckpointBlob cp;
               cp.program_id = program_id;
               cp.lo = u.lo;
@@ -1329,32 +1089,13 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
               net::put_u32(frame, static_cast<std::uint32_t>(u.lo));
               net::put_u32(frame, static_cast<std::uint32_t>(u.hi));
               encode_checkpoint(cp, frame);
-              pipe.send_frame(std::move(frame));
-              frame = {};
+              st.send(frame);
             }
           }
-          const bool round_traced = trace.tracing && round + 1 <= kNetMaxRoundSpans;
-          const std::uint64_t round_start = round_traced ? obs::now_ns() : 0;
-          std::uint64_t next_sent = eager_sent;
-          for (WorkerUnit& u : units)
-            next_sent += u.runner->split_open()
-                             ? u.runner->run_round_boundary(round + 1, &boundary)
-                             : u.runner->run_round(round + 1, &boundary);
-          ++round;
-          if (round_traced) {
-            obs::TraceEvent& ev =
-                record_local("worker.round", round_start, exec_span_id, obs::next_span_id());
-            ev.args.emplace_back("round", static_cast<std::uint64_t>(round));
-            ev.args.emplace_back("sent", next_sent);
-          }
-          sent = next_sent;
           advance = true;
           break;
         }
         case CongestMsg::kCollect: {
-          for (const WorkerUnit& u : units)
-            if (u.runner->split_open())
-              throw NetError("congest: Collect arrived while a pipelined round was in flight");
           for (WorkerUnit& u : units) u.runner->finish();
           for (const WorkerUnit& u : units) {
             frame.clear();
@@ -1362,8 +1103,7 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
             net::put_u32(frame, static_cast<std::uint32_t>(u.lo));
             net::put_u32(frame, static_cast<std::uint32_t>(u.hi));
             u.prog->encode_outputs(u.lo, u.hi, frame);
-            pipe.send_frame(std::move(frame));
-            frame = {};
+            st.send(frame);
           }
           if (trace.tracing) {
             obs::TraceEvent& ev =
@@ -1373,10 +1113,8 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
             frame.clear();
             put_head(frame, CongestMsg::kTraceData);
             obs::encode_trace_events(frame, local_events);
-            pipe.send_frame(std::move(frame));
-            frame = {};
+            st.send(frame);
           }
-          pipe.flush();
           return;
         }
         case CongestMsg::kRestore: {
@@ -1390,15 +1128,11 @@ void run_program(WorkerState& st, CommPipe& pipe, std::uint32_t graph_id, Worker
           auto [unit, next] = build_restored_unit(st, wg, r);
           if (next != round)
             throw NetError("congest: Restore replay does not reach the current round");
-          std::vector<BspRunner::RemoteSend> adopted_boundary;
+          std::vector<WirePacket> adopted_boundary;
           const std::uint64_t adopted_sent = unit.runner->run_round(round, &adopted_boundary);
           messages += adopted_sent;
-          pipe.send_round_done(round, adopted_sent, to_wire(adopted_boundary));
-          WorkerRange adopted;
-          adopted.lo = unit.lo;
-          adopted.hi = unit.hi;
-          adopted.interior = interior_mask(wg.g, unit.lo, unit.hi);
-          wg.ranges.push_back(std::move(adopted));
+          st.send_round_done(round, adopted_sent, adopted_boundary);
+          wg.ranges.push_back(WorkerRange{unit.lo, unit.hi});
           units.push_back(std::move(unit));
           break;  // keep waiting for this round's verdict
         }
@@ -1424,12 +1158,9 @@ void run_congest_worker(Transport& coordinator, const WorkerOptions& options) {
     st.link.send(hello);
   }
   HeartbeatPump pump(st.link, options.heartbeat_ms);
-  // Worker-lifetime comm pipeline: heartbeats bypass it (no codec state),
-  // every other outbound frame flows through to keep codec FIFO order.
-  CommPipe pipe(coordinator, st.link, st.codecs, options.pipeline);
   std::map<std::uint32_t, WorkerGraph> graphs;
   for (;;) {
-    std::optional<std::vector<std::uint8_t>> frame = pipe.recv();
+    std::optional<std::vector<std::uint8_t>> frame = st.recv();
     if (!frame) return;  // orderly close = shutdown
     net::WireReader r(*frame);
     switch (head_type(r.u32())) {
@@ -1457,16 +1188,8 @@ void run_congest_worker(Transport& coordinator, const WorkerOptions& options) {
         trace.tracing = (r.u32() & 1) != 0;
         trace.trace_id = r.u64();
         trace.parent_span = r.u64();
-        const std::uint32_t exec_flags = r.u32();
-        ExecConfig cfg;
-        cfg.delta = (exec_flags & 1u) != 0;
-        cfg.pipeline = options.pipeline;
-        cfg.cp_interval = static_cast<int>(r.u32());
-        // Any queued frames still reference the previous execution's codec
-        // state — drain them before re-arming.
-        pipe.flush();
-        st.codecs.arm(it->second.g.num_edges(), cfg.delta);
-        run_program(st, pipe, id, it->second, program_id, r.rest(), trace, cfg);
+        st.codecs.reset(it->second.g.num_edges());
+        run_program(st, id, it->second, program_id, r.rest(), trace);
         break;
       }
       case CongestMsg::kRestore: {
@@ -1480,7 +1203,7 @@ void run_congest_worker(Transport& coordinator, const WorkerOptions& options) {
         if (it == graphs.end())
           throw NetError("congest: Restore names unknown graph id " + std::to_string(id));
         auto [unit, final_round] = build_restored_unit(st, it->second, r);
-        std::vector<BspRunner::RemoteSend> discard;
+        std::vector<WirePacket> discard;
         if (unit.runner->run_round(final_round, &discard) != 0)
           throw NetError("congest: restored range was not quiescent at the phase end");
         unit.runner->finish();
@@ -1489,12 +1212,8 @@ void run_congest_worker(Transport& coordinator, const WorkerOptions& options) {
         net::put_u32(out, static_cast<std::uint32_t>(unit.lo));
         net::put_u32(out, static_cast<std::uint32_t>(unit.hi));
         unit.prog->encode_outputs(unit.lo, unit.hi, out);
-        pipe.send_frame(std::move(out));
-        WorkerRange adopted;
-        adopted.lo = unit.lo;
-        adopted.hi = unit.hi;
-        adopted.interior = interior_mask(it->second.g, unit.lo, unit.hi);
-        it->second.ranges.push_back(std::move(adopted));
+        st.send(out);
+        it->second.ranges.push_back(WorkerRange{unit.lo, unit.hi});
         break;
       }
       case CongestMsg::kShutdown:

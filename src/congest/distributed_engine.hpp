@@ -9,8 +9,8 @@
 //   ─────────────                         ──────────────────────────────
 //   Hello{version}      ─────────────►    roster validation (hub ctor)
 //                       ◄─────────────    LoadGraph{id, edges, own range}
-//                       ◄─────────────    Start{graph, program id, exec
-//                                           flags, checkpoint interval, spec}
+//                       ◄─────────────    Start{graph, program id, trace
+//                                           context, spec}
 //   step owned ranges,
 //   RoundDone{sent,     ─────────────►    barrier: sum sends; route
 //     boundary msgs}                      boundary messages to owners
@@ -27,36 +27,24 @@
 // whenever any worker sent (locally or across), exactly like the local
 // engines count non-silent rounds.
 //
-// Round hot path (protocol v4): the per-round frames scale with the
-// *frontier*, not the graph.
+// Round path (protocol v5): one synchronous loop per worker — step the
+// owned ranges, ship RoundDone, block for the coordinator's verdict.
 //   * Delta round frames — kRoundDone/kRound pack flags and a 16-bit round
 //     stamp into the head word and carry boundary messages in the
 //     congest/delta_codec format: varint slot gaps plus repeat markers
-//     against a per-link payload cache, with a full-frame fallback whenever
-//     the delta body would be larger. Checkpoint and Restore frames stay in
-//     the fixed v3 packet format — failover replay must decode without any
-//     link cache (the adopting survivor never saw the dead link's frames).
-//   * Comm-thread pipelining — each worker runs a dedicated send thread and
-//     receive thread around bounded frame queues (WorkerOptions::pipeline),
-//     so serializing round R's RoundDone overlaps with stepping round
-//     R + 1's interior vertices (vertices with no neighbor outside the
-//     owned range, precomputed at LoadGraph; see BspRunner's split-round
-//     API). Eager stepping is skipped on checkpoint-interval rounds so
-//     resume state is captured outside any split.
+//     against a per-link payload cache, with a per-frame fallback to the
+//     fixed packet format whenever the delta body would be larger.
+//     Checkpoint and Restore frames stay in the fixed packet format —
+//     failover replay must decode without any link cache (the adopting
+//     survivor never saw the dead link's frames).
 //   * Pool×net — WorkerOptions::threads (or a borrowed WorkerOptions::pool)
 //     steps each worker's active list on a support/ThreadPool with the same
 //     unique-writer mailboxes the pool engine uses.
-// All three are transparent to outputs and to the solver-visible
-// rounds/messages counters, for every combination with each other, with
-// worker counts, and with kill schedules.
+// Both are transparent to outputs and to the solver-visible rounds/messages
+// counters, for every worker count, thread count, and kill schedule.
 //
-// Migration v3 → v4: the head word of kRoundDone/kRound became
-// `type | flags << 8 | (round & 0xffff) << 16` (v3 shipped a bare type
-// u32 and a separate flags u32 on kRound); kStart gained an exec-flags u32
-// (bit 0: delta frames) and the checkpoint-interval u32 ahead of the spec;
-// kRoundDone/kRound bodies may be delta-encoded (head flags bit 0). A v3
-// peer is rejected at Hello with a version-skew error — the formats do not
-// interoperate.
+// Versions do not interoperate (see kCongestProtoVersion): an older peer is
+// rejected at Hello with a version-skew error.
 //
 // Fault tolerance (since protocol v3): the coordinator detects a dead worker at
 // any receive — orderly close, transport fault, or silence past the
@@ -94,9 +82,7 @@ enum class CongestMsg : std::uint32_t {
   kLoadGraph = 2,  // coordinator → worker: graph id, n, m, edges, owned range
   kDropGraph = 3,  // coordinator → worker: graph id
   kStart = 4,      // coordinator → worker: graph id, program id, node id,
-                   //   trace flags, trace id, parent span, exec flags u32
-                   //   (bit 0: delta frames), checkpoint interval u32,
-                   //   spec bytes
+                   //   trace flags, trace id, parent span, spec bytes
   kRoundDone = 5,  // worker → coordinator: head packs flags (bit 0: delta
                    //   body) and round & 0xffff; then sends u64, boundary
                    //   message count u32, boundary messages
@@ -119,13 +105,14 @@ enum class CongestMsg : std::uint32_t {
                    //   fully self-contained range adoption
 };
 
-/// v4 packed flags + a 16-bit round stamp into the kRoundDone/kRound head,
-/// added delta round-frame bodies (congest/delta_codec) with their flag
-/// bit, and appended the exec-flags and checkpoint-interval words to Start.
-/// v3 added the fault-tolerance frames (Heartbeat/Checkpoint/Restore), the
-/// flags word on Round, and the range prefix on Outputs. v2 added the
-/// trace-context fields to Start and the kTraceData reply.
-inline constexpr std::uint32_t kCongestProtoVersion = 4;
+/// v5 dropped Start's exec-flags and checkpoint-interval words. v4 packed
+/// flags + a 16-bit round stamp into the kRoundDone/kRound head, added
+/// delta round-frame bodies (congest/delta_codec) with their flag bit, and
+/// appended those two words to Start. v3 added the fault-tolerance frames
+/// (Heartbeat/Checkpoint/Restore), the flags word on Round, and the range
+/// prefix on Outputs. v2 added the trace-context fields to Start and the
+/// kTraceData reply.
+inline constexpr std::uint32_t kCongestProtoVersion = 5;
 
 /// Coordinator-side failover policy.
 struct DistributedHubOptions {
@@ -147,12 +134,6 @@ struct DistributedHubOptions {
   /// Spares still join every barrier (zero-cost rounds) and are the
   /// preferred adoption target when a range-owning worker dies.
   int spares = 0;
-
-  /// Encode kRoundDone/kRound bodies with the delta codec (per-link payload
-  /// caches, full-frame fallback). Off ships every packet in the fixed v3
-  /// format inside v4 frames. Outputs and counters are identical either
-  /// way; only wire bytes move.
-  bool delta_frames = true;
 };
 
 /// Coordinator-side backend factory over connected worker transports. The
@@ -208,12 +189,6 @@ struct WorkerOptions {
   /// fleet workers, ...). Takes precedence over `threads`; must outlive the
   /// worker.
   ThreadPool* pool = nullptr;
-
-  /// Run dedicated send/receive comm threads so frame serialization and
-  /// shipping overlap with stepping the next round's interior vertices.
-  /// Identity is unconditional (the split-round schedule is proven
-  /// equivalent); off reverts to the synchronous v3-style loop.
-  bool pipeline = true;
 
   /// > 0: send a Heartbeat frame every N ms from a background thread, so a
   /// coordinator running recv deadlines can tell slow from dead.

@@ -21,9 +21,8 @@ void VertexProgram::decode_state(VertexId, VertexId, std::span<const std::uint8_
 
 namespace detail {
 
-BspRunner::BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool,
-                     std::vector<char> interior)
-    : g_(&g), lo_(lo), hi_(hi), pool_(pool), interior_(std::move(interior)) {
+BspRunner::BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool)
+    : g_(&g), lo_(lo), hi_(hi), pool_(pool) {
   const auto slots = 2 * static_cast<std::size_t>(g.num_edges());
   for (int p = 0; p < 2; ++p) {
     box_[p].resize(slots);
@@ -54,7 +53,6 @@ void BspRunner::activate_initial() {
 
 void BspRunner::save_resume(int round, std::vector<VertexId>& awake_out,
                             std::vector<RemoteSend>& pending_out) const {
-  DECK_CHECK_MSG(!split_open_, "checkpoint capture inside a split round");
   // Wake state lives in woken_ (with possible duplicates) gated by the
   // awake_ flags; sorting + deduping here yields the same canonical list
   // run_round would compute, without consuming it.
@@ -192,51 +190,7 @@ void BspRunner::collect_candidates() {
 
 std::uint64_t BspRunner::run_round(int round, std::vector<RemoteSend>* remote_out) {
   DECK_CHECK(prog_ != nullptr);
-  DECK_CHECK_MSG(!split_open_, "run_round inside a split round");
   collect_candidates();
-  return step_active(round, remote_out);
-}
-
-std::uint64_t BspRunner::run_round_interior(int round, std::vector<RemoteSend>* remote_out) {
-  DECK_CHECK(prog_ != nullptr);
-  DECK_CHECK_MSG(!split_open_, "run_round_interior inside a split round");
-  DECK_CHECK_MSG(!interior_.empty(), "split rounds need the interior mask");
-  collect_candidates();
-  // Park the boundary candidates (ascending, like active_) and step only
-  // the interior ones now. Flags were cleared for both halves — from here
-  // until run_round_boundary, awake_/woken_ mean "wake for round + 1".
-  boundary_pending_.clear();
-  std::size_t keep = 0;
-  for (const VertexId v : active_) {
-    if (interior_[static_cast<std::size_t>(v)] != 0)
-      active_[keep++] = v;
-    else
-      boundary_pending_.push_back(v);
-  }
-  active_.resize(keep);
-  delivered_pending_.clear();
-  split_open_ = true;
-  return step_active(round, remote_out);
-}
-
-std::uint64_t BspRunner::run_round_boundary(int round, std::vector<RemoteSend>* remote_out) {
-  DECK_CHECK(prog_ != nullptr);
-  DECK_CHECK_MSG(split_open_, "run_round_boundary without an open split");
-  // The parked candidates plus everything boundary deliveries woke since
-  // the split opened — together exactly the non-interior slice of the
-  // candidate set an unsplit run_round would have stepped. Flags are not
-  // consulted: they now carry next round's wakes.
-  active_ = boundary_pending_;
-  active_.insert(active_.end(), delivered_pending_.begin(), delivered_pending_.end());
-  std::sort(active_.begin(), active_.end());
-  active_.erase(std::unique(active_.begin(), active_.end()), active_.end());
-  boundary_pending_.clear();
-  delivered_pending_.clear();
-  split_open_ = false;
-  return step_active(round, remote_out);
-}
-
-std::uint64_t BspRunner::step_active(int round, std::vector<RemoteSend>* remote_out) {
   if (active_.empty()) return 0;
 
   const int wp = round & 1;      // written this round
@@ -288,14 +242,6 @@ void BspRunner::deliver_remote(int round, EdgeId e, std::uint8_t dir, const Pack
                  "congest engine: duplicate boundary message on a directed edge");
   stamp_[wp][slot] = round;
   box_[wp][slot] = msg;
-  if (split_open_) {
-    // The delivery wakes `to` for round + 1, but awake_/woken_ are already
-    // collecting wakes for round + 2 (the interior half of round + 1 ran).
-    // Interior vertices have no remote neighbors, so `to` is necessarily a
-    // boundary vertex — park the wake with the other pending candidates.
-    delivered_pending_.push_back(to);
-    return;
-  }
   awake_[static_cast<std::size_t>(to)].store(1, std::memory_order_relaxed);
   woken_.push_back(to);
 }

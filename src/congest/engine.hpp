@@ -186,12 +186,7 @@ class BspRunner {
     friend bool operator==(const RemoteSend&, const RemoteSend&) = default;
   };
 
-  /// `interior` (optional, indexed by vertex id) marks the owned vertices
-  /// whose neighborhoods lie entirely inside [lo, hi) — the set eligible
-  /// for split-round eager stepping (run_round_interior). Empty disables
-  /// the split API; run_round is unaffected either way.
-  BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool,
-            std::vector<char> interior = {});
+  BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool);
 
   /// Binds the program: setup() plus the round-1 active set.
   void start(VertexProgram& prog);
@@ -224,25 +219,6 @@ class BspRunner {
   /// Returns the total number of sends, local and remote.
   std::uint64_t run_round(int round, std::vector<RemoteSend>* remote_out);
 
-  /// Splits round `round` for comm/compute overlap: steps the interior
-  /// part of the round's active set now (interior vertices can neither
-  /// receive boundary deliveries nor produce remote sends, so their steps
-  /// commute with the round-(round-1) boundary exchange still in flight)
-  /// and parks the rest. The split stays open until run_round_boundary.
-  /// Returns the sends of the interior part.
-  std::uint64_t run_round_interior(int round, std::vector<RemoteSend>* remote_out);
-
-  /// Completes a split round: steps the parked boundary vertices plus
-  /// everything boundary deliveries woke since the split opened, closing
-  /// the split. run_round_interior + deliveries + run_round_boundary is
-  /// schedule-identical to deliveries + run_round. Returns the sends of
-  /// the boundary part.
-  std::uint64_t run_round_boundary(int round, std::vector<RemoteSend>* remote_out);
-
-  /// Whether a split round is in flight (checkpoints and collects are
-  /// illegal until run_round_boundary closes it).
-  bool split_open() const { return split_open_; }
-
   /// Applies one boundary message sent in `round` by a remote owner; must be
   /// called after run_round(round, ...) and before run_round(round + 1, ...).
   void deliver_remote(int round, EdgeId e, std::uint8_t dir, const Packet& msg);
@@ -272,19 +248,8 @@ class BspRunner {
   std::vector<VertexId> active_;
 
   /// Gathers this round's candidates out of woken_/awake_ into active_
-  /// (sorted, deduped, flags cleared); steps active_ for `round`.
+  /// (sorted, deduped, flags cleared).
   void collect_candidates();
-  std::uint64_t step_active(int round, std::vector<RemoteSend>* remote_out);
-
-  // Split-round state: interior_[v] marks all-neighbors-owned vertices;
-  // while a split is open the round's non-interior candidates wait in
-  // boundary_pending_ and boundary-delivery wakes divert into
-  // delivered_pending_ (awake_/woken_ meanwhile accumulate wakes for the
-  // round *after* the split one — the two generations must not mix).
-  std::vector<char> interior_;
-  std::vector<VertexId> boundary_pending_;
-  std::vector<VertexId> delivered_pending_;
-  bool split_open_ = false;
 };
 
 }  // namespace detail

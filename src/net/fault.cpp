@@ -74,10 +74,6 @@ void FaultInjectingTransport::close() {
   if (inner_ != nullptr) inner_->close();
 }
 
-void FaultInjectingTransport::interrupt() {
-  if (inner_ != nullptr) inner_->interrupt();
-}
-
 const FaultRule* FaultInjectingTransport::rule_at(std::size_t index) const {
   for (const FaultRule& r : script_)
     if (r.frame_index == index) return &r;

@@ -64,7 +64,6 @@ class FaultInjectingTransport final : public Transport {
   std::optional<std::vector<std::uint8_t>> recv() override;
   std::optional<std::vector<std::uint8_t>> recv_for(int timeout_ms) override;
   void close() override;
-  void interrupt() override;
 
   /// Frames received from the wrapped transport so far (dropped ones
   /// included) — the clock fault rules are keyed to.

@@ -111,16 +111,6 @@ class LoopbackTransport final : public Transport {
     outbox_->cv.notify_all();
   }
 
-  void interrupt() override {
-    close();
-    // close() only flags the outbox (peer-observable); a recv blocked on
-    // *this* endpoint waits on the inbox. Mark it closed too so the wait
-    // ends — already-queued frames stay drainable first.
-    std::lock_guard<std::mutex> lock(inbox_->mu);
-    inbox_->closed = true;
-    inbox_->cv.notify_all();
-  }
-
  private:
   std::shared_ptr<LoopbackChannel> inbox_;
   std::shared_ptr<LoopbackChannel> outbox_;
@@ -212,13 +202,6 @@ class StreamTransport final : public Transport {
       ::close(fd_);
       fd_ = -1;
     }
-  }
-
-  void interrupt() override {
-    // shutdown() — not close() — so the fd stays valid while another thread
-    // sits in ::recv on it: the blocked read returns 0 (EOF) instead of
-    // racing a reused descriptor.
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
 
  private:

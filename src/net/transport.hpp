@@ -96,14 +96,6 @@ class Transport {
   /// messages stay readable and its next recv() after draining them
   /// observes the close.
   virtual void close() = 0;
-
-  /// Unblocks a recv() in progress on *this* endpoint (it observes an
-  /// orderly close / NetError) and renders the endpoint unusable. close()
-  /// only signals the peer — a loopback close() flags the outbox and a
-  /// stream close() races ::close against a blocked ::recv — so a comm
-  /// thread that must stop its *own* blocked receiver calls interrupt().
-  /// Safe to call from a different thread than the one blocked in recv().
-  virtual void interrupt() { close(); }
 };
 
 /// Two connected in-process endpoints: messages sent on `first` arrive at

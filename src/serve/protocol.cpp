@@ -93,6 +93,8 @@ ServeCertificate ServeClient::query(int k) {
   cert.columns_used = static_cast<int>(r.u32());
   cert.rounds_slack_used = static_cast<int>(r.u32());
   const std::uint32_t edges = r.u32();
+  // Each edge is two u32 words: a count the frame cannot hold is forged.
+  if (edges > r.remaining() / 8) malformed("Certificate edge count longer than frame");
   cert.edges.reserve(edges);
   for (std::uint32_t i = 0; i < edges; ++i) {
     const auto u = static_cast<VertexId>(r.u32());

@@ -63,25 +63,14 @@ void expect_engine_identity(const Graph& g, Algo&& algo, const char* what) {
     EXPECT_EQ(got, base) << what << ": pool engine with " << threads << " threads diverged";
   }
   for (int workers : {1, 2, 4}) {
-    {
-      // Default config = the v4 hot path: delta frames + comm pipelining.
-      CongestWorkerFleet fleet(workers);
-      Network net(g, fleet.hub());
-      const RunRecord got = record(net, algo(net));
-      EXPECT_EQ(got, base) << what << ": net engine with " << workers << " workers diverged";
-    }
-    {
-      // The synchronous v3-style loop: delta + pipelining off, pooled
-      // stepping — the opposite corner of the config space.
+    for (int threads : {0, 2}) {  // single-threaded and pool×net stepping
       FleetOptions fo;
-      fo.hub.delta_frames = false;
-      fo.worker.pipeline = false;
-      fo.worker.threads = 2;
+      fo.worker.threads = threads;
       CongestWorkerFleet fleet(workers, fo);
       Network net(g, fleet.hub());
       const RunRecord got = record(net, algo(net));
-      EXPECT_EQ(got, base) << what << ": net engine (delta/pipeline off, threads 2) with "
-                           << workers << " workers diverged";
+      EXPECT_EQ(got, base) << what << ": net engine with " << workers << " workers, "
+                           << threads << " threads diverged";
     }
   }
 }
@@ -221,9 +210,9 @@ TEST(EngineIdentity, PrimitivesBitIdenticalAcrossBackends) {
 }
 
 TEST(EngineIdentity, NetHotPathConfigMatrixBitIdentical) {
-  // The full delta × pipeline × worker-threads × workers matrix on the
-  // 2-ECSS pipeline: every round hot-path config must reproduce the
-  // sequential run bit for bit, counters included.
+  // The worker-threads × workers matrix on the 2-ECSS pipeline: every net
+  // engine config must reproduce the sequential run bit for bit, counters
+  // included.
   const Graph g = weighted_graph(32, 2, 9010);
   const auto algo = [](Network& net) {
     const Ecss2Result r = distributed_2ecss(net, TapOptions{});
@@ -234,21 +223,16 @@ TEST(EngineIdentity, NetHotPathConfigMatrixBitIdentical) {
     Network net(g);
     base = record(net, algo(net));
   }
-  for (const bool delta : {false, true})
-    for (const bool pipeline : {false, true})
-      for (const int threads : {1, 2, 4})
-        for (const int workers : {1, 2, 4}) {
-          FleetOptions fo;
-          fo.hub.delta_frames = delta;
-          fo.worker.pipeline = pipeline;
-          fo.worker.threads = threads;
-          CongestWorkerFleet fleet(workers, fo);
-          Network net(g, fleet.hub());
-          const RunRecord got = record(net, algo(net));
-          EXPECT_EQ(got, base) << "2-ecss: net engine diverged at delta=" << delta
-                               << " pipeline=" << pipeline << " threads=" << threads
-                               << " workers=" << workers;
-        }
+  for (const int threads : {1, 2, 4})
+    for (const int workers : {1, 2, 4}) {
+      FleetOptions fo;
+      fo.worker.threads = threads;
+      CongestWorkerFleet fleet(workers, fo);
+      Network net(g, fleet.hub());
+      const RunRecord got = record(net, algo(net));
+      EXPECT_EQ(got, base) << "2-ecss: net engine diverged at threads=" << threads
+                           << " workers=" << workers;
+    }
 }
 
 TEST(EngineIdentity, NetWorkersShareACallerOwnedPool) {
@@ -421,8 +405,6 @@ TEST(DistributedEngine, MalformedProgramSpecIsATypedError) {
   net::put_u32(start, 0);  // trace flags: off
   net::put_u64(start, 0);  // trace id
   net::put_u64(start, 0);  // parent span
-  net::put_u32(start, 0);  // execution flags: delta off
-  net::put_u32(start, 0);  // checkpoint interval
   net::put_u32(start, 2);   // n
   net::put_u32(start, 1);   // one edge
   net::put_u32(start, 99);  // ...whose id does not exist

@@ -154,19 +154,14 @@ TEST(Failover, KillMidPipelineIsBitIdenticalForEveryAlgorithm) {
     const RunRecord base = run_seq(c.g, c.algo);
     for (int workers : {2, 4}) {
       for (int checkpoint_interval : {1, 8}) {
-        for (const auto& [delta, pipeline] :
-             {std::pair<bool, bool>{true, true}, {false, false}}) {
-          for (const auto& [victim, frame] : {std::pair<int, std::size_t>{0, 7},
-                                              {workers - 1, 4}}) {
-            FleetOptions o = kill_at(workers, victim, frame, checkpoint_interval);
-            o.hub.delta_frames = delta;
-            o.worker.pipeline = pipeline;
-            const auto [got, alive] = run_fleet(c.g, c.algo, workers, std::move(o));
-            EXPECT_EQ(got, base) << c.what << ": " << workers << " workers, interval "
-                                 << checkpoint_interval << ", delta " << delta << ", pipeline "
-                                 << pipeline << ", victim " << victim << " at frame " << frame;
-            EXPECT_EQ(alive, workers - 1) << c.what;
-          }
+        for (const auto& [victim, frame] : {std::pair<int, std::size_t>{0, 7},
+                                            {workers - 1, 4}}) {
+          const auto [got, alive] =
+              run_fleet(c.g, c.algo, workers, kill_at(workers, victim, frame, checkpoint_interval));
+          EXPECT_EQ(got, base) << c.what << ": " << workers << " workers, interval "
+                               << checkpoint_interval << ", victim " << victim << " at frame "
+                               << frame;
+          EXPECT_EQ(alive, workers - 1) << c.what;
         }
       }
     }
@@ -174,28 +169,20 @@ TEST(Failover, KillMidPipelineIsBitIdenticalForEveryAlgorithm) {
 }
 
 TEST(Failover, EveryKillPointSurvivesEveryHotPathConfig) {
-  // The v4 acceptance sweep: every coordinator-side kill frame of a phase,
-  // for each delta × pipelining combination, with checkpoints on and the
-  // workers stepping on two pool threads. Recovery replays coordinator logs
-  // as full fixed-format frames regardless of the live wire format, so the
-  // outcome must be independent of all of it.
+  // Every coordinator-side kill frame of a phase with checkpoints on and
+  // the workers stepping on two pool threads (pool×net). Recovery replays
+  // coordinator logs as fixed-format frames whatever format the live delta
+  // codec chose, so the outcome must match the sequential run.
   const Graph g = weighted_graph(24, 2, 4020);
   const auto algo = [](Network& net) { return bfs_digest(net); };
   const RunRecord base = run_seq(g, algo);
-  for (bool delta : {false, true}) {
-    for (bool pipeline : {false, true}) {
-      for (std::size_t frame = 1;; ++frame) {
-        FleetOptions o = kill_at(2, 0, frame, /*checkpoint_interval=*/2);
-        o.hub.delta_frames = delta;
-        o.worker.pipeline = pipeline;
-        o.worker.threads = 2;
-        const auto [got, alive] = run_fleet(g, algo, 2, std::move(o));
-        EXPECT_EQ(got, base) << "delta " << delta << ", pipeline " << pipeline
-                             << ", killed at frame " << frame;
-        if (alive == 2) break;  // the kill never fired: the sweep is done
-        EXPECT_EQ(alive, 1);
-      }
-    }
+  for (std::size_t frame = 1;; ++frame) {
+    FleetOptions o = kill_at(2, 0, frame, /*checkpoint_interval=*/2);
+    o.worker.threads = 2;
+    const auto [got, alive] = run_fleet(g, algo, 2, std::move(o));
+    EXPECT_EQ(got, base) << "killed at frame " << frame;
+    if (alive == 2) break;  // the kill never fired: the sweep is done
+    EXPECT_EQ(alive, 1);
   }
 }
 
@@ -759,6 +746,12 @@ TEST(WorkerProtocol, MalformedRestoreFramesAreTypedErrors) {
   encode_checkpoint(foreign, foreign_bytes);
   EXPECT_NE(worker_rejects({square_graph_frame(), restore(1, 1, 1, 0, 4, foreign_bytes, {})})
                 .find("checkpoint does not match"),
+            std::string::npos);
+
+  std::vector<std::uint8_t> forged_rounds;  // 2^32 - 1 replay rounds, none carried
+  net::put_u32(forged_rounds, 0xffffffffu);
+  EXPECT_NE(worker_rejects({square_graph_frame(), restore(1, 1, 1, 0, 4, {}, forged_rounds)})
+                .find("replay round count longer than frame"),
             std::string::npos);
 
   std::vector<std::uint8_t> oversized;  // one replay round claiming 2^20 packets

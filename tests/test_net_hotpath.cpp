@@ -26,12 +26,12 @@
 namespace deck {
 namespace {
 
-// The protocol v4 hot path, piece by piece: the DeltaCodec round-frame
+// The net engine's round path, piece by piece: the DeltaCodec round-frame
 // format (roundtrips, fallback, every malformed-byte rejection), the
 // frame-level validation both protocol ends apply to round frames (stale
-// round stamps, delta bodies nobody negotiated, version skew), and the
-// observability the hot path emits (delta/full frame counters, wire-byte
-// and comm-thread wait histograms).
+// round stamps, malformed delta bodies, version skew), and the
+// observability the round path emits (delta/full frame counters, wire and
+// fixed-format byte totals, send/recv wait histograms).
 
 // Control byte layout mirrored from the codec: bits 0-1 kind, bits 2-5
 // explicit-field presence, bits 6-7 reserved.
@@ -288,7 +288,7 @@ std::uint32_t round_head(std::uint32_t flags, std::uint32_t round) {
 /// Runs a 1-worker BFS phase against an impostor worker that answers the
 /// first barrier with `round_done`, and returns the coordinator's typed
 /// error message.
-std::string coordinator_rejects(bool delta_enabled, const std::vector<std::uint8_t>& round_done) {
+std::string coordinator_rejects(const std::vector<std::uint8_t>& round_done) {
   auto [coord, work] = loopback_pair();
   std::thread t([w = std::shared_ptr<Transport>(std::move(work)), &round_done] {
     std::vector<std::uint8_t> hello;
@@ -304,10 +304,7 @@ std::string coordinator_rejects(bool delta_enabled, const std::vector<std::uint8
   });
   std::string what;
   {
-    DistributedHubOptions ho;
-    ho.delta_frames = delta_enabled;
-    const std::shared_ptr<DistributedEngineHub> hub =
-        make_distributed_hub({coord.get()}, ho);
+    const std::shared_ptr<DistributedEngineHub> hub = make_distributed_hub({coord.get()});
     try {
       const Graph g = weighted_graph(8, 2, 5001);
       Network net(g, hub);
@@ -327,15 +324,7 @@ TEST(CoordinatorProtocol, StaleRoundDoneIsATypedError) {
   net::put_u32(f, round_done_head(0, 7));  // barrier is at round 1
   net::put_u64(f, 1);
   net::put_u32(f, 0);
-  EXPECT_NE(coordinator_rejects(true, f).find("stale RoundDone"), std::string::npos);
-}
-
-TEST(CoordinatorProtocol, DeltaRoundDoneWhileDisabledIsATypedError) {
-  std::vector<std::uint8_t> f;
-  net::put_u32(f, round_done_head(1, 1));
-  net::put_u64(f, 1);
-  net::put_u32(f, 0);
-  EXPECT_NE(coordinator_rejects(false, f).find("delta frames are disabled"), std::string::npos);
+  EXPECT_NE(coordinator_rejects(f).find("stale RoundDone"), std::string::npos);
 }
 
 TEST(CoordinatorProtocol, OverlappingDeltaRoundDoneIsATypedError) {
@@ -347,7 +336,7 @@ TEST(CoordinatorProtocol, OverlappingDeltaRoundDoneIsATypedError) {
   f.push_back(kCtrlExplicit);
   net::put_varint(f, 0);    // ...second at a zero gap: same mailbox twice
   f.push_back(kCtrlExplicit);
-  EXPECT_NE(coordinator_rejects(true, f).find("overlapping delta payload"), std::string::npos);
+  EXPECT_NE(coordinator_rejects(f).find("overlapping delta payload"), std::string::npos);
 }
 
 TEST(CoordinatorProtocol, TruncatedDeltaRoundDoneIsATypedError) {
@@ -356,7 +345,7 @@ TEST(CoordinatorProtocol, TruncatedDeltaRoundDoneIsATypedError) {
   net::put_u64(f, 1);
   net::put_u32(f, 2);     // claims two packets, carries half of one
   net::put_varint(f, 0);
-  EXPECT_NE(coordinator_rejects(true, f).find("malformed protocol message"), std::string::npos);
+  EXPECT_NE(coordinator_rejects(f).find("malformed protocol message"), std::string::npos);
 }
 
 TEST(CoordinatorProtocol, OversizedRoundDoneIsATypedError) {
@@ -364,32 +353,38 @@ TEST(CoordinatorProtocol, OversizedRoundDoneIsATypedError) {
   net::put_u32(f, round_done_head(1, 1));
   net::put_u64(f, 1);
   net::put_u32(f, 1u << 20);  // more packets than directed edges
-  EXPECT_NE(coordinator_rejects(true, f).find("more packets than directed edges"),
+  EXPECT_NE(coordinator_rejects(f).find("more packets than directed edges"),
             std::string::npos);
 }
 
 TEST(CoordinatorProtocol, V3WorkerIsRejectedWithAVersionSkewError) {
-  // Cross-version: a worker speaking the previous protocol must be turned
-  // away at the handshake with an error naming both versions.
-  auto [coord, work] = loopback_pair();
-  std::thread t([w = std::shared_ptr<Transport>(std::move(work))] {
-    std::vector<std::uint8_t> hello;
-    net::put_u32(hello, static_cast<std::uint32_t>(CongestMsg::kHello));
-    net::put_u32(hello, 3);
-    w->send(hello);
-    while (w->recv().has_value()) {
+  // Cross-version: a worker speaking an older protocol (v3, or v4 with its
+  // exec-flags Start) must be turned away at the handshake with an error
+  // naming both versions.
+  for (const std::uint32_t version : {3u, 4u}) {
+    auto [coord, work] = loopback_pair();
+    std::thread t([w = std::shared_ptr<Transport>(std::move(work)), version] {
+      std::vector<std::uint8_t> hello;
+      net::put_u32(hello, static_cast<std::uint32_t>(CongestMsg::kHello));
+      net::put_u32(hello, version);
+      w->send(hello);
+      while (w->recv().has_value()) {
+      }
+      w->close();
+    });
+    std::string what;
+    try {
+      (void)make_distributed_hub({coord.get()}, DistributedHubOptions{});
+    } catch (const NetError& e) {
+      what = e.what();
     }
-    w->close();
-  });
-  std::string what;
-  try {
-    (void)make_distributed_hub({coord.get()}, DistributedHubOptions{});
-  } catch (const NetError& e) {
-    what = e.what();
+    EXPECT_NE(what.find("speaks protocol version " + std::to_string(version) +
+                        ", coordinator speaks 5"),
+              std::string::npos)
+        << what;
+    coord->close();
+    t.join();
   }
-  EXPECT_NE(what.find("speaks protocol version 3, coordinator speaks 4"), std::string::npos);
-  coord->close();
-  t.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -413,7 +408,7 @@ std::vector<std::uint8_t> square_graph_frame() {
   return f;
 }
 
-std::vector<std::uint8_t> start_bfs_frame(std::uint32_t exec_flags) {
+std::vector<std::uint8_t> start_bfs_frame() {
   BfsProgram bfs(4, 0);
   std::vector<std::uint8_t> f;
   net::put_u32(f, static_cast<std::uint32_t>(CongestMsg::kStart));
@@ -423,8 +418,6 @@ std::vector<std::uint8_t> start_bfs_frame(std::uint32_t exec_flags) {
   net::put_u32(f, 0);  // tracing off
   net::put_u64(f, 0);  // trace id
   net::put_u64(f, 0);  // parent span
-  net::put_u32(f, exec_flags);
-  net::put_u32(f, 0);  // checkpoint interval
   bfs.encode_spec(f);
   return f;
 }
@@ -453,17 +446,8 @@ TEST(WorkerProtocol, StaleRoundFrameIsATypedError) {
   std::vector<std::uint8_t> round;
   net::put_u32(round, round_head(0, 5));  // worker is at round 1
   net::put_u32(round, 0);
-  EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(1), round})
+  EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(), round})
                 .find("stale Round frame"),
-            std::string::npos);
-}
-
-TEST(WorkerProtocol, DeltaRoundFrameWhileDisabledIsATypedError) {
-  std::vector<std::uint8_t> round;  // delta body, but Start negotiated none
-  net::put_u32(round, round_head(1, 1));
-  net::put_u32(round, 0);
-  EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(0), round})
-                .find("delta Round frame but delta frames are disabled"),
             std::string::npos);
 }
 
@@ -476,7 +460,7 @@ TEST(WorkerProtocol, MalformedDeltaRoundBodiesAreTypedErrors) {
     round.push_back(kCtrlExplicit);
     net::put_varint(round, 0);
     round.push_back(kCtrlExplicit);
-    EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(1), round})
+    EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(), round})
                   .find("overlapping delta payload"),
               std::string::npos);
   }
@@ -484,7 +468,7 @@ TEST(WorkerProtocol, MalformedDeltaRoundBodiesAreTypedErrors) {
     std::vector<std::uint8_t> round;  // truncated: claims a packet, body empty
     net::put_u32(round, round_head(1, 1));
     net::put_u32(round, 1);
-    EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(1), round})
+    EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(), round})
                   .find("malformed protocol message"),
               std::string::npos);
   }
@@ -494,34 +478,22 @@ TEST(WorkerProtocol, MalformedDeltaRoundBodiesAreTypedErrors) {
     net::put_u32(round, 1);
     net::put_varint(round, 0);
     round.push_back(kCtrlRepeatSlot);
-    EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(1), round})
+    EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(), round})
                   .find("never shipped"),
               std::string::npos);
   }
 }
 
-TEST(WorkerProtocol, CheckpointInsideAPipelinedRoundIsATypedError) {
-  // Start negotiated no checkpoint cadence, so the worker eagerly stepped
-  // round 2's interior; a Round frame that then demands a checkpoint is a
-  // contract violation the worker must refuse, not silently mis-snapshot.
-  std::vector<std::uint8_t> round;
-  net::put_u32(round, round_head(2, 1));  // flags bit 1: checkpoint
-  net::put_u32(round, 0);
-  EXPECT_NE(worker_rejects({square_graph_frame(), start_bfs_frame(1), round})
-                .find("checkpoint requested inside a pipelined round"),
-            std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
-// Hot-path observability: the counters and histograms bench_a2_breakdown
-// uses to attribute delta/pipelining wins.
+// Round-path observability: the counters and histograms that attribute
+// round wire cost and comm waits.
 
 TEST(NetHotPathObs, DeltaFramesAndCommWaitsAreCounted) {
   obs::set_enabled(true);
   obs::Registry::global().reset();
   const Graph g = weighted_graph(24, 2, 5002);
   {
-    CongestWorkerFleet fleet(2, FleetOptions{});  // v4 defaults: delta + pipeline
+    CongestWorkerFleet fleet(2, FleetOptions{});
     Network net(g, fleet.hub());
     (void)distributed_bfs(net, 0);
   }
@@ -530,30 +502,14 @@ TEST(NetHotPathObs, DeltaFramesAndCommWaitsAreCounted) {
   const obs::Histogram::Snap* wire = snap.histogram("congest.net.round_wire_bytes");
   ASSERT_NE(wire, nullptr);
   EXPECT_GE(wire->count, 1u);
+  // BFS flood payloads compress, so the fixed format would cost more.
+  EXPECT_GT(snap.counter("congest.net.round_fixed_bytes"), wire->sum);
   const obs::Histogram::Snap* send_wait = snap.histogram("congest.net.send_thread_wait_ns");
   ASSERT_NE(send_wait, nullptr);
   EXPECT_GE(send_wait->count, 1u);
   const obs::Histogram::Snap* recv_wait = snap.histogram("congest.net.recv_thread_wait_ns");
   ASSERT_NE(recv_wait, nullptr);
   EXPECT_GE(recv_wait->count, 1u);
-  obs::set_enabled(false);
-  obs::Registry::global().reset();
-}
-
-TEST(NetHotPathObs, DisablingDeltaCountsOnlyFullFrames) {
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  const Graph g = weighted_graph(24, 2, 5003);
-  {
-    FleetOptions o;
-    o.hub.delta_frames = false;
-    CongestWorkerFleet fleet(2, o);
-    Network net(g, fleet.hub());
-    (void)distributed_bfs(net, 0);
-  }
-  const obs::Snapshot snap = obs::Registry::global().scrape();
-  EXPECT_EQ(snap.counter("congest.net.delta_frames"), 0u);
-  EXPECT_GE(snap.counter("congest.net.full_frames"), 1u);
   obs::set_enabled(false);
   obs::Registry::global().reset();
 }

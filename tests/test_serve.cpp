@@ -661,6 +661,37 @@ TEST(ServeProtocol, ClientDisconnectWithoutByeEndsTheLoopQuietly) {
   EXPECT_EQ(session.stats().updates, 1u);
 }
 
+TEST(ServeProtocol, ForgedCertificateEdgeCountIsAMalformedFrame) {
+  // A fake server answers Query with a Certificate whose edge count
+  // promises far more edges than the frame carries: the client must refuse
+  // it as malformed before sizing anything by that count.
+  auto [server_end, client_end] = loopback_pair();
+  std::thread fake([t = server_end.get()] {
+    (void)t->recv();  // Hello
+    std::vector<std::uint8_t> hello_ok;
+    net::put_u32(hello_ok, static_cast<std::uint32_t>(ServeMsg::kHelloOk));
+    net::put_u32(hello_ok, kServeProtocolVersion);
+    net::put_u32(hello_ok, 8);  // n
+    net::put_u32(hello_ok, 2);  // k
+    t->send(hello_ok);
+    (void)t->recv();  // Query
+    std::vector<std::uint8_t> cert;
+    net::put_u32(cert, static_cast<std::uint32_t>(ServeMsg::kCertificate));
+    for (int field = 0; field < 5; ++field) net::put_u32(cert, 1);  // k, attempts, ...
+    net::put_u32(cert, 0xffffffffu);  // edge count; no edges follow
+    t->send(cert);
+  });
+  ServeClient client(*client_end);
+  client.hello();
+  try {
+    (void)client.query();
+    ADD_FAILURE() << "a forged certificate edge count must draw kMalformedFrame";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(e.code(), ServeErrorCode::kMalformedFrame);
+  }
+  fake.join();
+}
+
 TEST(ServeProtocol, ServerRefusesCoordinatedSessions) {
   const GraphStream stream = churned_stream(12, 2, 660);
   WorkerFleet fleet(stream, 1);
