@@ -12,6 +12,8 @@ from baselines and never gated.
 A run fails the gate when
   * any gated metric exceeds its baseline by more than --tolerance
     (default 10%),
+  * any exact metric differs from its baseline at all, up or down
+    (identity counters such as engine rounds/messages),
   * any boolean correctness field in the run is false, or
   * a baseline row has no matching row in the run (coverage shrank).
 
@@ -34,8 +36,9 @@ import sys
 JSON_BEGIN = "--- json ---"
 JSON_END = "--- end json ---"
 
-# Per-bench gate configuration: which fields identify a row, and which
-# deterministic metrics must not regress (increase) beyond tolerance.
+# Per-bench gate configuration: which fields identify a row, which
+# deterministic metrics must not regress (increase) beyond tolerance, and
+# which ("exact", optional) must reproduce the baseline value exactly.
 GATES = {
     "f1_2ecss_rounds": {
         "key": ("family", "n"),
@@ -73,9 +76,12 @@ GATES = {
         "key": ("n",),
         "metrics": ("ratio_sec54_vs_lb", "ratio_sec4_vs_lb", "rounds_sec54"),
     },
+    # Engine scaling: rounds/messages are identity counters — every backend
+    # and unit count must reproduce them exactly, so any drift fails.
     "f11_engine": {
         "key": ("engine", "units", "n"),
-        "metrics": ("rounds", "messages"),
+        "metrics": (),
+        "exact": ("rounds", "messages"),
     },
     # Gated entirely through row presence and boolean flags: within_bound
     # per hook, plus the obs-on/off engine-invariance row.
@@ -114,7 +120,8 @@ GATES = {
     # run). Wall time per round is host-dependent and never gated.
     "f16_round_wire": {
         "key": ("workload", "threads"),
-        "metrics": ("wire_bytes", "rounds", "messages"),
+        "metrics": ("wire_bytes",),
+        "exact": ("rounds", "messages"),
     },
 }
 
@@ -210,9 +217,18 @@ def check(run: dict, baseline: dict, tolerance: float) -> int:
                 failures += 1
             elif cur_val < base_val:
                 print(f"info: {name}: ({label}): {metric} improved {base_val} -> {cur_val}")
+        for metric in gate.get("exact", ()):
+            base_val = base_row.get(metric)
+            cur_val = cur.get(metric)
+            if base_val is None or cur_val is None or cur_val != base_val:
+                print(f"FAIL: {name}: ({label}): exact metric '{metric}' changed "
+                      f"(baseline={base_val}, run={cur_val})")
+                failures += 1
 
     if failures == 0:
-        print(f"OK: {name}: {len(baseline['rows'])} rows within {tolerance:.0%} of baseline")
+        exact = ", ".join(gate.get("exact", ()))
+        print(f"OK: {name}: {len(baseline['rows'])} rows within {tolerance:.0%} of baseline"
+              + (f", {exact} exact" if exact else ""))
     return 1 if failures else 0
 
 

@@ -1,6 +1,7 @@
 #include "congest/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -21,14 +22,53 @@ void VertexProgram::decode_state(VertexId, VertexId, std::span<const std::uint8_
 
 namespace detail {
 
+namespace {
+
+/// Stamps at or past this refill the mailboxes before the next execution,
+/// leaving every later round (base_ + round) far from int32 overflow.
+constexpr std::int32_t kRefillStamp = std::int32_t{1} << 30;
+
+/// collect_candidates scans the flags densely once at least one vertex in
+/// kDenseScanRatio of the owned range is awake, and sorts the wake list below
+/// that.
+constexpr std::size_t kDenseScanRatio = 16;
+
+/// Marks v awake, recording it in `woken` only on the flag's 0 -> 1 edge.
+/// `shared` when other threads may wake the same vertex concurrently.
+void wake_once(std::atomic<std::uint8_t>& flag, bool shared, std::vector<VertexId>& woken,
+               VertexId v) {
+  if (flag.load(std::memory_order_relaxed) != 0) return;
+  if (shared) {
+    if (flag.exchange(1, std::memory_order_relaxed) != 0) return;
+  } else {
+    flag.store(1, std::memory_order_relaxed);
+  }
+  woken.push_back(v);
+}
+
+}  // namespace
+
 BspRunner::BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool)
     : g_(&g), lo_(lo), hi_(hi), pool_(pool) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
   const auto slots = 2 * static_cast<std::size_t>(g.num_edges());
+  DECK_CHECK_MSG(slots < static_cast<std::size_t>(kRefillStamp),
+                 "congest engine: graph too large for 32-bit mailbox positions");
+  off_.resize(n + 1);
+  in_pos_.resize(slots);
+  std::int32_t pos = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    off_[static_cast<std::size_t>(v)] = pos;
+    for (const Adj& a : g.neighbors(v)) {
+      const std::uint8_t dir = g.edge(a.edge).u == a.to ? 0 : 1;  // a.to sends to v
+      in_pos_[2 * static_cast<std::size_t>(a.edge) + dir] = pos++;
+    }
+  }
+  off_[n] = pos;
   for (int p = 0; p < 2; ++p) {
     box_[p].resize(slots);
-    stamp_[p].assign(slots, -1);  // rounds are 1-based: round 1 reads stamp 0, never -1
+    stamp_[p].assign(slots, high_);  // below every stamp an execution reads
   }
-  const auto n = static_cast<std::size_t>(g.num_vertices());
   awake_ = std::make_unique<std::atomic<std::uint8_t>[]>(n);
   for (std::size_t v = 0; v < n; ++v) awake_[v].store(0, std::memory_order_relaxed);
 }
@@ -39,41 +79,57 @@ void BspRunner::start(VertexProgram& prog) {
   activate_initial();
 }
 
-void BspRunner::attach(VertexProgram& prog) { prog_ = &prog; }
+void BspRunner::attach(VertexProgram& prog) {
+  // Retire the previous execution, however it ended: a silent last round can
+  // leave stay_awake() flags behind, and a throwing pool round can leave
+  // flags that no wake list records.
+  const auto clear_flag = [this](VertexId v) {
+    awake_[static_cast<std::size_t>(v)].store(0, std::memory_order_relaxed);
+  };
+  if (woken_exact_) {
+    for (const VertexId v : woken_) clear_flag(v);
+  } else {
+    for (VertexId v = lo_; v < hi_; ++v) clear_flag(v);
+    woken_exact_ = true;
+  }
+  woken_.clear();
+  if (high_ >= kRefillStamp) {
+    high_ = -1;
+    for (auto& stamps : stamp_) std::fill(stamps.begin(), stamps.end(), high_);
+  }
+  base_ = high_ + 1;  // every stamp written so far is now stale
+  prog_ = &prog;
+}
+
+void BspRunner::wake(VertexId v) {
+  wake_once(awake_[static_cast<std::size_t>(v)], false, woken_, v);
+}
 
 void BspRunner::activate_initial() {
   DECK_CHECK(prog_ != nullptr);
-  for (VertexId v = lo_; v < hi_; ++v) {
-    if (prog_->starts_active(v)) {
-      awake_[static_cast<std::size_t>(v)].store(1, std::memory_order_relaxed);
-      woken_.push_back(v);
-    }
-  }
+  for (VertexId v = lo_; v < hi_; ++v)
+    if (prog_->starts_active(v)) wake(v);
 }
 
 void BspRunner::save_resume(int round, std::vector<VertexId>& awake_out,
                             std::vector<RemoteSend>& pending_out) const {
-  // Wake state lives in woken_ (with possible duplicates) gated by the
-  // awake_ flags; sorting + deduping here yields the same canonical list
+  // woken_ holds every awake vertex exactly once; sorted, it is the schedule
   // run_round would compute, without consuming it.
   awake_out = woken_;
   std::sort(awake_out.begin(), awake_out.end());
-  awake_out.erase(std::unique(awake_out.begin(), awake_out.end()), awake_out.end());
-  std::erase_if(awake_out, [&](VertexId v) {
-    return awake_[static_cast<std::size_t>(v)].load(std::memory_order_relaxed) == 0;
-  });
-  // Live mailboxes: slots written in `round` (parity round & 1, stamp ==
-  // round) whose receiving endpoint this runner owns — exactly what
-  // run_round(round + 1, ...) will read. Slot order is deterministic.
+  // Live mailboxes: positions written in `round` (parity round & 1, stamp
+  // base_ + round) whose receiving endpoint this runner owns — exactly what
+  // run_round(round + 1, ...) will read — listed in (edge, dir) order.
   const int wp = round & 1;
+  const std::int32_t sent_at = base_ + round;
   pending_out.clear();
   for (EdgeId e = 0; e < g_->num_edges(); ++e) {
     const Edge& ed = g_->edge(e);
     for (std::uint8_t dir = 0; dir <= 1; ++dir) {
       const VertexId to = dir == 0 ? ed.v : ed.u;
       if (to < lo_ || to >= hi_) continue;
-      const std::size_t slot = 2 * static_cast<std::size_t>(e) + dir;
-      if (stamp_[wp][slot] == round) pending_out.push_back({e, dir, box_[wp][slot]});
+      const auto p = static_cast<std::size_t>(in_pos_[2 * static_cast<std::size_t>(e) + dir]);
+      if (stamp_[wp][p] == sent_at) pending_out.push_back({e, dir, box_[wp][p]});
     }
   }
 }
@@ -81,12 +137,14 @@ void BspRunner::save_resume(int round, std::vector<VertexId>& awake_out,
 void BspRunner::restore_resume(int round, std::span<const VertexId> awake,
                                std::span<const RemoteSend> pending) {
   DECK_CHECK(prog_ != nullptr);
+  DECK_CHECK_MSG(round >= 0 && round < kRefillStamp, "checkpoint round is out of range");
   for (VertexId v : awake) {
     DECK_CHECK_MSG(v >= lo_ && v < hi_, "checkpoint wakes a vertex outside the owned range");
-    awake_[static_cast<std::size_t>(v)].store(1, std::memory_order_relaxed);
-    woken_.push_back(v);
+    wake(v);
   }
   const int wp = round & 1;
+  const std::int32_t sent_at = base_ + round;
+  high_ = std::max(high_, sent_at);
   for (const RemoteSend& s : pending) {
     DECK_CHECK_MSG(s.edge >= 0 && s.edge < g_->num_edges() && s.dir <= 1,
                    "checkpoint mailbox entry addresses a bogus edge");
@@ -94,138 +152,146 @@ void BspRunner::restore_resume(int round, std::span<const VertexId> awake,
     const VertexId to = s.dir == 0 ? ed.v : ed.u;
     DECK_CHECK_MSG(to >= lo_ && to < hi_,
                    "checkpoint mailbox entry delivered to the wrong owner");
-    const std::size_t slot = 2 * static_cast<std::size_t>(s.edge) + s.dir;
-    stamp_[wp][slot] = round;
-    box_[wp][slot] = s.msg;
+    const auto p = static_cast<std::size_t>(in_pos_[2 * static_cast<std::size_t>(s.edge) + s.dir]);
+    stamp_[wp][p] = sent_at;
+    box_[wp][p] = s.msg;
   }
 }
 
-namespace {
-
-/// Outbox bound to one stepping vertex for one round. Writes go straight
-/// into the runner's mailbox buffers: each directed edge has a unique
-/// sending vertex, so concurrent steps never touch the same slot.
-class RunnerOutbox final : public Outbox {
+/// Outbox of one stepping span for one round, rebound to each stepping
+/// vertex. Writes go straight into the runner's mailboxes: each directed
+/// edge has a unique sending vertex, so concurrent spans never touch the
+/// same position.
+class BspRunner::RoundOutbox final : public Outbox {
  public:
-  RunnerOutbox(const Graph& g, VertexId self, int round, std::vector<Packet>& box,
-               std::vector<std::int32_t>& stamp, std::atomic<std::uint8_t>* awake,
-               std::vector<VertexId>& woken, VertexId lo, VertexId hi,
-               std::vector<BspRunner::RemoteSend>* remote, std::mutex* remote_mu)
-      : g_(&g),
-        self_(self),
-        round_(round),
-        box_(&box),
-        stamp_(&stamp),
-        awake_(awake),
+  RoundOutbox(BspRunner& r, int round, std::vector<VertexId>& woken,
+              std::vector<RemoteSend>* remote, std::mutex* shared_mu)
+      : edges_(r.g_->edges().data()),
+        num_edges_(r.g_->num_edges()),
+        in_pos_(r.in_pos_.data()),
+        awake_(r.awake_.get()),
+        lo_(r.lo_),
+        hi_(r.hi_),
+        sent_at_(r.base_ + round),
+        box_(r.box_[round & 1].data()),
+        stamp_(r.stamp_[round & 1].data()),
         woken_(&woken),
-        lo_(lo),
-        hi_(hi),
         remote_(remote),
-        remote_mu_(remote_mu) {}
+        shared_mu_(shared_mu) {}
+
+  void bind(VertexId self) { self_ = self; }
 
   void send(VertexId to, EdgeId e, const Packet& msg) override {
-    const Edge& ed = g_->edge(e);
+    DECK_CHECK_MSG(e >= 0 && e < num_edges_, "congest engine: send on a bogus edge id");
+    const Edge& ed = edges_[e];
     DECK_CHECK_MSG((ed.u == self_ && ed.v == to) || (ed.v == self_ && ed.u == to),
                    "congest engine: send must cross one incident graph edge");
     const std::uint8_t dir = ed.u == self_ ? 0 : 1;
-    const std::size_t slot = 2 * static_cast<std::size_t>(e) + dir;
-    DECK_CHECK_MSG((*stamp_)[slot] != round_,
+    const auto p = static_cast<std::size_t>(in_pos_[2 * static_cast<std::size_t>(e) + dir]);
+    DECK_CHECK_MSG(stamp_[p] != sent_at_,
                    "congest engine: one message per directed edge per round");
-    (*stamp_)[slot] = round_;
+    stamp_[p] = sent_at_;
     ++sent_;
     if (to >= lo_ && to < hi_) {
-      (*box_)[slot] = msg;
-      awake_[static_cast<std::size_t>(to)].store(1, std::memory_order_relaxed);
-      woken_->push_back(to);
+      box_[p] = msg;
+      wake_once(awake_[to], shared_mu_ != nullptr, *woken_, to);
     } else {
       DECK_CHECK_MSG(remote_ != nullptr, "congest engine: send leaves the owned vertex range");
-      std::lock_guard<std::mutex> lock(*remote_mu_);
-      remote_->push_back({e, dir, msg});
+      if (shared_mu_ != nullptr) {
+        std::lock_guard<std::mutex> lock(*shared_mu_);
+        remote_->push_back({e, dir, msg});
+      } else {
+        remote_->push_back({e, dir, msg});
+      }
     }
   }
 
-  void stay_awake() override {
-    awake_[static_cast<std::size_t>(self_)].store(1, std::memory_order_relaxed);
-    woken_->push_back(self_);
-  }
+  void stay_awake() override { wake_once(awake_[self_], shared_mu_ != nullptr, *woken_, self_); }
 
   std::uint64_t sent() const { return sent_; }
 
  private:
-  const Graph* g_;
-  VertexId self_;
-  int round_;
-  std::vector<Packet>* box_;
-  std::vector<std::int32_t>* stamp_;
+  const Edge* edges_;
+  EdgeId num_edges_;
+  const std::int32_t* in_pos_;
   std::atomic<std::uint8_t>* awake_;
-  std::vector<VertexId>* woken_;
   VertexId lo_, hi_;
-  std::vector<BspRunner::RemoteSend>* remote_;
-  std::mutex* remote_mu_;
+  VertexId self_ = kNoVertex;
+  std::int32_t sent_at_;
+  Packet* box_;
+  std::int32_t* stamp_;
+  std::vector<VertexId>* woken_;
+  std::vector<RemoteSend>* remote_;
+  std::mutex* shared_mu_;  // null when this span is the round's only stepper
   std::uint64_t sent_ = 0;
 };
 
-}  // namespace
-
 void BspRunner::collect_candidates() {
-  // The active list for this round: everything woken since the last round
-  // (sends, stay_awake, boundary deliveries; starts_active for round 1).
-  // Wake lists accumulate per stepping chunk in nondeterministic order, but
-  // sorting + deduping against the awake_ flags yields exactly the ascending
-  // schedule a full index scan would — for every backend and thread count —
-  // at O(active + wakes log wakes) instead of O(n) per round.
-  std::sort(woken_.begin(), woken_.end());
+  // Everything woken since the last round (sends, stay_awake, boundary
+  // deliveries; starts_active for round 1), each vertex once. Spans append
+  // in nondeterministic order; both branches yield the ascending schedule.
+  // A crowded round scans the flags instead of sorting the list.
   active_.clear();
-  for (std::size_t i = 0; i < woken_.size(); ++i) {
-    const VertexId v = woken_[i];
-    if (i > 0 && v == woken_[i - 1]) continue;
-    auto& flag = awake_[static_cast<std::size_t>(v)];
-    if (flag.load(std::memory_order_relaxed)) {
-      flag.store(0, std::memory_order_relaxed);
-      active_.push_back(v);
+  if (woken_.size() * kDenseScanRatio >= static_cast<std::size_t>(hi_ - lo_)) {
+    for (VertexId v = lo_; v < hi_; ++v) {
+      auto& flag = awake_[static_cast<std::size_t>(v)];
+      if (flag.load(std::memory_order_relaxed) != 0) {
+        flag.store(0, std::memory_order_relaxed);
+        active_.push_back(v);
+      }
     }
+  } else {
+    std::sort(woken_.begin(), woken_.end());
+    for (const VertexId v : woken_)
+      awake_[static_cast<std::size_t>(v)].store(0, std::memory_order_relaxed);
+    active_.swap(woken_);
   }
   woken_.clear();
 }
 
+std::uint64_t BspRunner::step_span(std::size_t begin, std::size_t end, int round,
+                                   std::vector<Delivery>& inbox, RoundOutbox& out) {
+  const int rp = (round & 1) ^ 1;  // sent last round, read now
+  const std::int32_t live = base_ + round - 1;
+  const std::int32_t* stamps = stamp_[rp].data();
+  const Packet* boxes = box_[rp].data();
+  for (std::size_t i = begin; i < end; ++i) {
+    const VertexId v = active_[i];
+    const std::span<const Adj> nbrs = g_->neighbors(v);
+    const auto first = static_cast<std::size_t>(off_[static_cast<std::size_t>(v)]);
+    inbox.clear();
+    for (std::size_t j = 0; j < nbrs.size(); ++j)
+      if (stamps[first + j] == live) inbox.push_back({nbrs[j].to, nbrs[j].edge, boxes[first + j]});
+    out.bind(v);
+    prog_->step(v, round, inbox, out);
+  }
+  return out.sent();
+}
+
 std::uint64_t BspRunner::run_round(int round, std::vector<RemoteSend>* remote_out) {
   DECK_CHECK(prog_ != nullptr);
+  DECK_CHECK_MSG(round >= 1 && round < std::numeric_limits<std::int32_t>::max() - base_,
+                 "congest engine: round out of range");
+  high_ = std::max(high_, base_ + round);
   collect_candidates();
   if (active_.empty()) return 0;
 
-  const int wp = round & 1;      // written this round
-  const int rp = wp ^ 1;         // sent last round, read now
-  std::mutex remote_mu;
-  std::mutex woken_mu;
+  if (pool_ == nullptr) {
+    RoundOutbox out(*this, round, woken_, remote_out, nullptr);
+    return step_span(0, active_.size(), round, inbox_, out);
+  }
+  std::mutex shared_mu;
   std::atomic<std::uint64_t> sent_total{0};
-
-  auto step_span = [&](std::size_t begin, std::size_t end) {
+  woken_exact_ = false;
+  pool_->for_range(active_.size(), [&](std::size_t begin, std::size_t end) {
     std::vector<Delivery> inbox;
     std::vector<VertexId> woken_here;
-    std::uint64_t sent_here = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const VertexId v = active_[i];
-      inbox.clear();
-      for (const Adj& a : g_->neighbors(v)) {
-        const std::uint8_t dir = g_->edge(a.edge).u == a.to ? 0 : 1;
-        const std::size_t slot = 2 * static_cast<std::size_t>(a.edge) + dir;
-        if (stamp_[rp][slot] == round - 1) inbox.push_back({a.to, a.edge, box_[rp][slot]});
-      }
-      RunnerOutbox out(*g_, v, round, box_[wp], stamp_[wp], awake_.get(), woken_here, lo_, hi_,
-                       remote_out, &remote_mu);
-      prog_->step(v, round, inbox, out);
-      sent_here += out.sent();
-    }
-    sent_total.fetch_add(sent_here, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(woken_mu);
+    RoundOutbox out(*this, round, woken_here, remote_out, &shared_mu);
+    sent_total.fetch_add(step_span(begin, end, round, inbox, out), std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(shared_mu);
     woken_.insert(woken_.end(), woken_here.begin(), woken_here.end());
-  };
-
-  if (pool_ != nullptr) {
-    pool_->for_range(active_.size(), step_span);
-  } else {
-    step_span(0, active_.size());
-  }
+  });
+  woken_exact_ = true;
   return sent_total.load(std::memory_order_relaxed);
 }
 
@@ -237,13 +303,13 @@ void BspRunner::deliver_remote(int round, EdgeId e, std::uint8_t dir, const Pack
   DECK_CHECK_MSG(to >= lo_ && to < hi_,
                  "congest engine: boundary message delivered to the wrong owner");
   const int wp = round & 1;
-  const std::size_t slot = 2 * static_cast<std::size_t>(e) + dir;
-  DECK_CHECK_MSG(stamp_[wp][slot] != round,
+  const std::int32_t sent_at = base_ + round;
+  const auto p = static_cast<std::size_t>(in_pos_[2 * static_cast<std::size_t>(e) + dir]);
+  DECK_CHECK_MSG(stamp_[wp][p] != sent_at,
                  "congest engine: duplicate boundary message on a directed edge");
-  stamp_[wp][slot] = round;
-  box_[wp][slot] = msg;
-  awake_[static_cast<std::size_t>(to)].store(1, std::memory_order_relaxed);
-  woken_.push_back(to);
+  stamp_[wp][p] = sent_at;
+  box_[wp][p] = msg;
+  wake(to);
 }
 
 void BspRunner::finish() {
@@ -259,6 +325,9 @@ namespace {
 struct EngineMetrics {
   obs::Counter& rounds = obs::Registry::global().counter("congest.rounds");
   obs::Counter& messages = obs::Registry::global().counter("congest.messages");
+  // Runner reuse: one build per local engine, however many executions.
+  obs::Counter& executions = obs::Registry::global().counter("congest.executions");
+  obs::Counter& runner_builds = obs::Registry::global().counter("congest.runner_builds");
 
   static EngineMetrics& get() {
     static EngineMetrics m;
@@ -272,7 +341,8 @@ constexpr int kMaxRoundSpans = 64;
 
 /// In-process execution over the full vertex range: sequential when `pool`
 /// is null, partitioned over the pool otherwise. Identical schedules either
-/// way — the pool only splits the deterministic active list.
+/// way — the pool only splits the deterministic active list. One runner,
+/// built on the first execution, serves every later one on this graph.
 class LocalEngine : public Engine {
  public:
   LocalEngine(const Graph& g, ThreadPool* pool, std::string name)
@@ -282,7 +352,12 @@ class LocalEngine : public Engine {
 
   ExecStats execute(VertexProgram& prog) override {
     obs::Span exec_span(span_name_.c_str());
-    detail::BspRunner runner(*g_, 0, g_->num_vertices(), pool_);
+    if (runner_ == nullptr) {
+      runner_ = std::make_unique<detail::BspRunner>(*g_, 0, g_->num_vertices(), pool_);
+      if (obs::enabled()) EngineMetrics::get().runner_builds.inc();
+    }
+    if (obs::enabled()) EngineMetrics::get().executions.inc();
+    detail::BspRunner& runner = *runner_;
     runner.start(prog);
     ExecStats stats;
     for (int round = 1;; ++round) {
@@ -314,6 +389,7 @@ class LocalEngine : public Engine {
   ThreadPool* pool_;
   std::string name_;
   std::string span_name_;
+  std::unique_ptr<detail::BspRunner> runner_;
 };
 
 class SequentialHub final : public EngineHub {

@@ -172,9 +172,26 @@ class EngineHub {
 namespace detail {
 
 /// Shared BSP execution core: steps the owned vertex range [lo, hi) of one
-/// graph round by round over double-buffered per-directed-edge mailboxes.
-/// Local engines own the whole range; the distributed worker owns a slice
-/// and exchanges boundary messages through the hooks below.
+/// graph round by round. Local engines own the whole range and keep one
+/// runner for every execution on their graph; the distributed worker owns a
+/// slice and exchanges boundary messages through the hooks below.
+///
+/// Mailboxes are receiver-contiguous: position off_[v] + i holds what
+/// arrives at v over its i-th adjacency slot, and in_pos_[2e + dir] maps a
+/// directed edge to that position (built once per runner). Reading an inbox
+/// is one contiguous stamp scan paired with g.neighbors(v), already in the
+/// adjacency order the determinism contract asks for. Two buffers alternate
+/// by round parity; a position is live iff its stamp equals base_ + the
+/// sending round, so a new execution starts by moving base_ past every stamp
+/// the last one wrote instead of clearing or reallocating the mailboxes
+/// (the stamps are refilled once base_ nears int32 overflow).
+///
+/// Wakes are deduplicated at the source: only a flag going 0 -> 1 records
+/// the vertex. Each round's schedule is the ascending list of woken ids —
+/// the same for every backend and thread count — built by sorting the
+/// distinct ids, or by one pass over the flags when a large share of the
+/// range woke. The sequential path steps with member scratch (no heap work
+/// per round); the pool path gives each chunk its own inbox and wake list.
 class BspRunner {
  public:
   /// A send whose receiving endpoint lies outside the owned range.
@@ -194,6 +211,8 @@ class BspRunner {
   /// Binds an already-setup() program without touching its state — the
   /// restore path, where the program was rebuilt from its spec and is about
   /// to absorb a checkpoint (or activate_initial() for a round-0 restore).
+  /// Also retires the previous execution on this runner, however it ended:
+  /// its wake flags are cleared and its mailbox stamps go stale.
   void attach(VertexProgram& prog);
 
   /// Marks the round-1 active set (starts_active over [lo, hi)). start() ==
@@ -227,29 +246,43 @@ class BspRunner {
   void finish();
 
  private:
+  class RoundOutbox;
+
   const Graph* g_;
   VertexId lo_, hi_;
   ThreadPool* pool_;
   VertexProgram* prog_ = nullptr;
 
-  // Double-buffered mailboxes: round r writes parity r & 1 and reads the
-  // other buffer; a slot is live iff its stamp equals the sending round.
+  // Receiver-contiguous mailbox layout (see the class comment).
+  std::vector<std::int32_t> off_;
+  std::vector<std::int32_t> in_pos_;
   std::vector<Packet> box_[2];
   std::vector<std::int32_t> stamp_[2];
 
-  // awake_[v] != 0: v steps next round. Senders mark their receivers from
-  // worker threads (relaxed stores of the same value — order-free) and
-  // record the ids in per-chunk wake lists merged into woken_; the next
-  // round sorts + dedupes the candidates against the flags, so the schedule
-  // is identical to a full index scan for every thread count while staying
-  // output-sensitive (O(active + wakes log wakes) per round, not O(n)).
+  // Epoch stamps: round r of the current execution stamps base_ + r, and
+  // high_ is the largest stamp this runner may have written so far.
+  std::int32_t base_ = 0;
+  std::int32_t high_ = -1;
+
+  // awake_[v] != 0: v steps next round, and then v is in woken_ exactly
+  // once. Only a pool round that throws breaks that (a chunk's wake list is
+  // lost): woken_exact_ is false from the pool dispatch until it returns.
   std::unique_ptr<std::atomic<std::uint8_t>[]> awake_;
   std::vector<VertexId> woken_;
+  bool woken_exact_ = true;
   std::vector<VertexId> active_;
+  std::vector<Delivery> inbox_;  // sequential stepping scratch
 
-  /// Gathers this round's candidates out of woken_/awake_ into active_
-  /// (sorted, deduped, flags cleared).
+  /// Single-threaded wake (round-1 set, restores, boundary deliveries).
+  void wake(VertexId v);
+
+  /// Moves this round's schedule out of woken_ into active_ (ascending,
+  /// flags cleared).
   void collect_candidates();
+
+  /// Steps active_[begin, end) with the given inbox scratch; returns sends.
+  std::uint64_t step_span(std::size_t begin, std::size_t end, int round,
+                          std::vector<Delivery>& inbox, RoundOutbox& out);
 };
 
 }  // namespace detail

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "mst/distributed_mst.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "tap/distributed_tap.hpp"
@@ -257,6 +260,233 @@ TEST(EngineIdentity, NetWorkersShareACallerOwnedPool) {
     Network net(g, fleet.hub());
     EXPECT_EQ(record(net, algo(net)), base);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Outbox contract: every misuse of Outbox::send is a std::logic_error, on the
+// sequential and the pooled runner alike — never an out-of-bounds access.
+
+enum class Misuse { kTwiceOnOneEdge, kNonIncidentEdge, kEdgeMinusOne, kEdgePastEnd };
+
+/// Every vertex of a cycle steps in round 1 and commits `misuse`.
+class MisusingProgram final : public VertexProgram {
+ public:
+  explicit MisusingProgram(Misuse misuse) : misuse_(misuse) {}
+
+  std::uint32_t program_id() const override { return 0xffff0001u; }
+  void setup(const Graph& g) override { g_ = &g; }
+  bool starts_active(VertexId) const override { return true; }
+
+  void step(VertexId v, int, std::span<const Delivery>, Outbox& out) override {
+    const int n = g_->num_vertices();
+    const VertexId next = (v + 1) % n;  // edge v is {v, v + 1}
+    switch (misuse_) {
+      case Misuse::kTwiceOnOneEdge:
+        out.send(next, v, Packet{});
+        out.send(next, v, Packet{});
+        break;
+      case Misuse::kNonIncidentEdge:  // edge {v + 2, v + 3} misses v
+        out.send((v + 3) % n, (v + 2) % n, Packet{});
+        break;
+      case Misuse::kEdgeMinusOne:
+        out.send(next, -1, Packet{});
+        break;
+      case Misuse::kEdgePastEnd:
+        out.send(next, g_->num_edges(), Packet{});
+        break;
+    }
+  }
+
+  void encode_spec(std::vector<std::uint8_t>&) const override {}
+  void encode_outputs(VertexId, VertexId, std::vector<std::uint8_t>&) const override {}
+  void decode_outputs(VertexId, VertexId, std::span<const std::uint8_t>) override {}
+
+ private:
+  Misuse misuse_;
+  const Graph* g_ = nullptr;
+};
+
+Graph cycle_graph(int n) {
+  Graph g(n);
+  for (VertexId v = 0; v < n; ++v) g.add_edge(v, (v + 1) % n);
+  return g;
+}
+
+TEST(EngineContract, OutboxMisuseThrowsOnSeqAndPool) {
+  const Graph g = cycle_graph(12);
+  const std::pair<Misuse, const char*> misuses[] = {
+      {Misuse::kTwiceOnOneEdge, "twice on one directed edge"},
+      {Misuse::kNonIncidentEdge, "non-incident edge"},
+      {Misuse::kEdgeMinusOne, "edge id -1"},
+      {Misuse::kEdgePastEnd, "edge id m"},
+  };
+  for (const auto& [misuse, what] : misuses) {
+    for (const int threads : {0, 4}) {
+      Network net(g, threads == 0 ? EngineHub::sequential() : EngineHub::parallel(threads));
+      MisusingProgram prog(misuse);
+      EXPECT_THROW((void)net.engine().execute(prog), std::logic_error)
+          << what << " on " << net.hub()->name();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Runner reuse: a Network keeps one runner for all its executions, so a step
+// that throws mid-round must not leak wake flags or mailbox contents into the
+// next execution.
+
+/// Round 1: every vertex sends over all its edges, leaving live mailboxes.
+/// Round 2: every vertex stays awake and then throws, so each stepping span
+/// stops after its first vertex — vertex 0 included, whose flag the next
+/// execution's BFS root must still be able to raise.
+class ThrowingProgram final : public VertexProgram {
+ public:
+  std::uint32_t program_id() const override { return 0xffff0002u; }
+  void setup(const Graph& g) override { g_ = &g; }
+  bool starts_active(VertexId) const override { return true; }
+
+  void step(VertexId v, int round, std::span<const Delivery>, Outbox& out) override {
+    if (round == 1) {
+      for (const Adj& a : g_->neighbors(v)) out.send(a.to, a.edge, Packet{1, 2, 3, 4});
+      return;
+    }
+    out.stay_awake();
+    throw std::runtime_error("step failed");
+  }
+
+  void encode_spec(std::vector<std::uint8_t>&) const override {}
+  void encode_outputs(VertexId, VertexId, std::vector<std::uint8_t>&) const override {}
+  void decode_outputs(VertexId, VertexId, std::span<const std::uint8_t>) override {}
+
+ private:
+  const Graph* g_ = nullptr;
+};
+
+TEST(EngineReuse, ThrowingExecutionLeavesNoTraceOnTheNextOne) {
+  const Graph g = weighted_graph(64, 2, 9012);
+  const auto algo = [](Network& net) { return distributed_2ecss(net, TapOptions{}).edges; };
+  for (const int threads : {0, 4}) {
+    const auto hub = [threads] {
+      return threads == 0 ? EngineHub::sequential() : EngineHub::parallel(threads);
+    };
+    Network fresh(g, hub());
+    const RunRecord base = record(fresh, algo(fresh));
+
+    Network reused(g, hub());
+    ThrowingProgram bad;
+    EXPECT_THROW((void)reused.engine().execute(bad), std::runtime_error);
+    const std::uint64_t rounds_before = reused.rounds();
+    const std::uint64_t messages_before = reused.messages();
+    RunRecord got = record(reused, algo(reused));
+    got.rounds -= rounds_before;
+    got.messages -= messages_before;
+    EXPECT_EQ(got, base) << "execution after a throwing one diverged on " << reused.hub()->name();
+  }
+}
+
+/// Counts which engines executed, and how often, around an inner hub.
+class CountingHub final : public EngineHub {
+ public:
+  explicit CountingHub(std::shared_ptr<EngineHub> inner) : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::unique_ptr<Engine> engine_for(const Graph& g) override {
+    return std::make_unique<CountingEngine>(inner_->engine_for(g), *this);
+  }
+
+  std::uint64_t engines_executed = 0;
+  std::uint64_t executions = 0;
+
+ private:
+  class CountingEngine final : public Engine {
+   public:
+    CountingEngine(std::unique_ptr<Engine> inner, CountingHub& hub)
+        : inner_(std::move(inner)), hub_(&hub) {}
+    std::string name() const override { return inner_->name(); }
+    ExecStats execute(VertexProgram& prog) override {
+      if (!executed_) hub_->engines_executed += 1;
+      executed_ = true;
+      hub_->executions += 1;
+      return inner_->execute(prog);
+    }
+
+   private:
+    std::unique_ptr<Engine> inner_;
+    CountingHub* hub_;
+    bool executed_ = false;
+  };
+
+  std::shared_ptr<EngineHub> inner_;
+};
+
+TEST(EngineReuse, OneRunnerBuildPerNetworkThatExecuted) {
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  const Graph g = weighted_graph(48, 2, 9013);
+  const auto hub = std::make_shared<CountingHub>(EngineHub::sequential());
+  {
+    Network net(g, hub);
+    (void)distributed_2ecss(net, TapOptions{});
+  }
+  obs::set_enabled(false);
+  const std::uint64_t builds = obs::Registry::global().counter("congest.runner_builds").value();
+  const std::uint64_t executions = obs::Registry::global().counter("congest.executions").value();
+  obs::Registry::global().reset();
+  EXPECT_EQ(builds, hub->engines_executed);
+  EXPECT_EQ(executions, hub->executions);
+  EXPECT_GT(builds, 0u);
+  EXPECT_LT(10 * builds, executions) << "runners are rebuilt instead of reused";
+}
+
+// ---------------------------------------------------------------------------
+// Golden counters. seq, pool and net all step through the same BspRunner, so
+// the identity suites above cannot see a bug the three share; these pin the
+// exact outputs and counters of the reference runs instead.
+
+std::uint64_t edge_digest(const std::vector<EdgeId>& edges) {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a over the edge ids, in order
+  for (const EdgeId e : edges) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(e));
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct Golden {
+  std::uint64_t rounds, messages;
+  Weight weight;
+  std::size_t edges;
+  std::uint64_t digest;
+};
+
+void expect_golden(const Network& net, const std::vector<EdgeId>& edges, Weight weight,
+                   const Golden& want, const std::string& what) {
+  EXPECT_EQ(net.rounds(), want.rounds) << what;
+  EXPECT_EQ(net.messages(), want.messages) << what;
+  EXPECT_EQ(weight, want.weight) << what;
+  EXPECT_EQ(edges.size(), want.edges) << what;
+  EXPECT_EQ(edge_digest(edges), want.digest) << what;
+}
+
+TEST(EngineGolden, Ecss2CountersMatchTheReference) {
+  const std::pair<int, Golden> cases[] = {
+      {64, {1141, 22245, 2193, 88, 0xb972fc191ca27f81ull}},
+      {256, {2167, 152378, 32946, 331, 0xe13ea1236a6396a7ull}},
+  };
+  for (const auto& [n, want] : cases) {
+    const Graph g = weighted_graph(n, 2, 9100 + static_cast<std::uint64_t>(n));
+    Network net(g);
+    const Ecss2Result r = distributed_2ecss(net, TapOptions{});
+    expect_golden(net, r.edges, r.weight, want, "2-ecss n=" + std::to_string(n));
+  }
+}
+
+TEST(EngineGolden, KecssCountersMatchTheReference) {
+  const Graph g = weighted_graph(48, 3, 9300);
+  Network net(g);
+  const KecssResult r = distributed_kecss(net, 3, KecssOptions{});
+  expect_golden(net, r.edges, r.weight, {7567, 87855, 1376, 84, 0x39370132e49c7710ull},
+                "3-ecss n=48");
 }
 
 // ---------------------------------------------------------------------------
