@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,11 +40,14 @@ double now_ms() {
 
 /// The pre-facade one-shot pipeline, inlined as the bit-identity reference.
 SparsifyResult reference_sparsify(const GraphStream& stream, int k, const SketchOptions& opt) {
-  return recover_certificate(k, opt, {}, [&stream](const SketchOptions& aopt) {
-    SketchConnectivity sk(stream.num_vertices(), aopt);
-    for (const StreamUpdate& u : stream.updates()) sk.update(u.u, u.v, u.insert ? 1 : -1);
-    return sk;
-  });
+  std::optional<SketchConnectivity> bank;
+  return recover_certificate(k, opt, {},
+                             [&](const SketchOptions& aopt) -> const SketchConnectivity& {
+                               SketchConnectivity& sk = bank.emplace(stream.num_vertices(), aopt);
+                               for (const StreamUpdate& u : stream.updates())
+                                 sk.update(u.u, u.v, u.insert ? 1 : -1);
+                               return sk;
+                             });
 }
 
 bool same_result(const SparsifyResult& a, const SparsifyResult& b) {

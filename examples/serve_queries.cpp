@@ -35,8 +35,8 @@ int main() {
 
   // 2. The serving session. Updates buffer in per-vertex-range gutters
   //    (flushed as sorted cache-resident batches into the live ℓ₀ bank);
-  //    a query drains the gutters, clones the live bank, and peels the
-  //    certificate — ingest resumes untouched afterwards.
+  //    a query drains the gutters and peels the certificate straight
+  //    from the live bank, read-only — ingest resumes untouched afterwards.
   IngestOptions opt;
   opt.sketch.seed = 42;
   opt.gutter.policy.max_halves = 512;
@@ -87,7 +87,7 @@ int main() {
 
   const SessionStats stats = session.stats();
   std::printf("session: %llu updates, %llu queries, %llu gutter flushes "
-              "(%llu size-triggered), %llu bank clones, %llu replays\n",
+              "(%llu size-triggered), %llu live-bank reads, %llu replays\n",
               static_cast<unsigned long long>(stats.updates),
               static_cast<unsigned long long>(stats.queries),
               static_cast<unsigned long long>(stats.gutter.flushes),

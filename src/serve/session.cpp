@@ -28,7 +28,7 @@ struct SessionMetrics {
   }
 };
 
-/// Whether an attempt's sizing matches the live bank's — the clone-vs-replay
+/// Whether an attempt's sizing matches the live bank's — the live-vs-replay
 /// decision. Mirrors SketchConnectivity::compatible() on options alone.
 bool same_shape(const SketchOptions& a, const SketchOptions& b) {
   return a.seed == b.seed && a.max_forests == b.max_forests && a.columns == b.columns &&
@@ -88,8 +88,9 @@ SketchOptions GraphSession::live_bank_options() const {
   base.max_forests = k_;
   if (!base.auto_size.enabled) return base;
   // Attempt 0 of recover_certificate's adaptive loop: the initial sizing
-  // under the first split seed. Holding the live bank there makes every
-  // query's first attempt a clone; only grown retries replay the stream.
+  // under the first split seed. Holding the live bank there lets every
+  // query's first attempt read it in place; only grown retries replay the
+  // stream.
   SketchOptions a0 = base;
   a0.columns = base.auto_size.initial_columns;
   a0.rounds_slack = base.auto_size.initial_rounds_slack;
@@ -169,10 +170,12 @@ std::size_t GraphSession::pending_updates() const {
   return gutters_ ? gutters_->pending_halves() / 2 : 0;
 }
 
-SketchConnectivity GraphSession::attempt_bank(const SketchOptions& aopt) {
+const SketchConnectivity& GraphSession::attempt_bank(const SketchOptions& aopt,
+                                                     std::optional<SketchConnectivity>& replay) {
   if (bank_ && same_shape(aopt, bank_->options())) {
-    // The common case: clone the live bank. Its sketch copies stay
-    // unconsumed, so ingest resumes untouched after the query.
+    // The common case: recover straight from the live bank. Recovery only
+    // reads buckets and never moves the cursor, so ingest resumes untouched
+    // after the query.
     ++stats_.bank_reuses;
     if (obs::enabled()) SessionMetrics::get().bank_reuses.inc();
     return *bank_;
@@ -182,7 +185,7 @@ SketchConnectivity GraphSession::attempt_bank(const SketchOptions& aopt) {
   // is held at attempt-0 sizing).
   ++stats_.bank_replays;
   if (obs::enabled()) SessionMetrics::get().bank_replays.inc();
-  SketchConnectivity fresh(n_, aopt);
+  SketchConnectivity& fresh = replay.emplace(n_, aopt);
   for (const StreamUpdate& u : stream_.updates_since(0)) fresh.update(u.u, u.v, u.insert ? 1 : -1);
   return fresh;
 }
@@ -209,12 +212,15 @@ SparsifyResult GraphSession::query(int k) {
 
 SparsifyResult GraphSession::query_local(int k) {
   // Pause/flush: the live bank must sketch everything ingested so far
-  // before it is cloned — drain the gutters, then cross the apply
+  // before recovery reads it — drain the gutters, then cross the apply
   // boundary's merge barrier.
   gutters_->drain();
   applier_->finish();
+  std::optional<SketchConnectivity> replay;  // a replayed attempt's bank
   return recover_certificate(k, opt_.sketch, opt_.recovery,
-                             [this](const SketchOptions& aopt) { return attempt_bank(aopt); });
+                             [&](const SketchOptions& aopt) -> const SketchConnectivity& {
+                               return attempt_bank(aopt, replay);
+                             });
 }
 
 SparsifyResult GraphSession::query_coordinated(int k) {
@@ -231,9 +237,13 @@ SparsifyResult GraphSession::query_coordinated(int k) {
     RecoveryOptions ropt;
     ropt.threads = opt_.coordinator.threads;
     ropt.pool = &pool;
-    return recover_certificate(k, opt_.sketch, ropt, [&](const SketchOptions& aopt) {
-      return coordinated_ingest_attempt(opt_.workers, n_, aopt, pool);
-    });
+    std::optional<SketchConnectivity> assembled;  // the current attempt's bank
+    return recover_certificate(k, opt_.sketch, ropt,
+                               [&](const SketchOptions& aopt) -> const SketchConnectivity& {
+                                 assembled.reset();  // one bank in memory at a time
+                                 return assembled.emplace(
+                                     coordinated_ingest_attempt(opt_.workers, n_, aopt, pool));
+                               });
   } catch (...) {
     // Best-effort shutdown so healthy workers exit instead of blocking on
     // the next Attempt; the original fault stays the primary error. The

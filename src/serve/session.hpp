@@ -8,10 +8,12 @@
 // Lifecycle: open → insert/delete (or bulk ingest) → query(k) → resume →
 // close. Updates land in a write-optimized guttering stage
 // (serve/gutter.hpp) feeding a *live* ℓ₀ sketch bank; a query is
-// pause/flush/recover/resume: drain the gutters, clone the live bank, and
-// run forest recovery on the clone — the live bank's sketch copies are
-// never consumed, so ingest continues where it left off and the next query
-// folds only the deltas that arrived since (banks are not rebuilt).
+// pause/flush/recover/resume: drain the gutters and run forest recovery
+// straight on the live bank. Recovery is a read-only pass over the bank
+// (SketchConnectivity::recover_forests) — no bucket is written and no copy
+// is consumed — so there is nothing to clone: ingest continues where it
+// left off and the next query folds only the deltas that arrived since
+// (banks are not rebuilt).
 //
 // Bit-identity contract: query() at any point returns exactly what the
 // one-shot sparsify_stream would return on the stream ingested so far —
@@ -20,8 +22,8 @@
 // hope: sketch linearity (any regrouping of updates sums to the same
 // bank) and deterministic recovery (forests are a function of bank bytes
 // alone). Adaptive sizing holds the live bank at the attempt-0 sizing;
-// attempt 0 of a query clones it, and only the rare grown attempts replay
-// the retained stream through GraphStream::updates_since.
+// attempt 0 of a query reads it in place, and only the rare grown attempts
+// replay the retained stream through GraphStream::updates_since.
 //
 // Ingest modes (IngestOptions::mode):
 //   kSequential  — gutters flush inline on the session thread.
@@ -81,9 +83,9 @@ struct SessionStats {
   std::uint64_t inserts = 0;
   std::uint64_t deletes = 0;
   std::uint64_t queries = 0;
-  /// Query attempts answered by cloning the live bank vs re-ingesting the
-  /// retained stream (adaptive growth attempts, or a query for k other
-  /// than the session's).
+  /// Query attempts answered from the live bank in place vs by
+  /// re-ingesting the retained stream (adaptive growth attempts, or a query
+  /// for k other than the session's).
   std::uint64_t bank_reuses = 0;
   std::uint64_t bank_replays = 0;
   GutterStats gutter;
@@ -93,7 +95,8 @@ class GraphSession {
  public:
   /// Opens a session over an empty n-vertex graph serving k-certificate
   /// queries. The live bank is sized for (opt.sketch, k) — queries for the
-  /// session k clone it; other k's fall back to a stream replay.
+  /// session k recover from it in place; other k's fall back to a stream
+  /// replay.
   GraphSession(int n, int k, IngestOptions opt = {});
 
   /// Named constructor, for symmetry with the open/…/close lifecycle.
@@ -120,11 +123,11 @@ class GraphSession {
   void ingest(const GraphStream& s);
 
   /// Pause/flush/recover/resume: drains the gutters into the live bank,
-  /// recovers a k-forest Thurimella certificate from a clone, and leaves
-  /// the session ready for more updates. Bit-identical to the equivalent
-  /// one-shot sparsify_stream on the stream ingested so far. query() uses
-  /// the session k (the live bank's shape); query(k) for any other k
-  /// replays the retained stream instead of cloning.
+  /// recovers a k-forest Thurimella certificate by reading it in place, and
+  /// leaves the session ready for more updates. Bit-identical to the
+  /// equivalent one-shot sparsify_stream on the stream ingested so far.
+  /// query() uses the session k (the live bank's shape); query(k) for any
+  /// other k replays the retained stream into a temporary bank instead.
   SparsifyResult query();
   SparsifyResult query(int k);
 
@@ -142,8 +145,8 @@ class GraphSession {
   const IngestOptions& options() const { return opt_; }
 
   /// The retained update history (ground truth for verification, and the
-  /// replay source for non-clone query attempts). Empty in kCoordinated
-  /// mode, where the workers own the stream.
+  /// replay source for query attempts the live bank cannot answer). Empty
+  /// in kCoordinated mode, where the workers own the stream.
   const GraphStream& stream() const { return stream_; }
 
   /// Undirected updates buffered in the gutters, not yet in the live bank.
@@ -155,10 +158,14 @@ class GraphSession {
   void check_open() const;
   void check_local(const char* what) const;
   /// The sizing the live bank is held at — recover_certificate's attempt-0
-  /// options, so the first attempt of every query is a clone, never a
-  /// replay.
+  /// options, so the first attempt of every query reads the live bank,
+  /// never a replay.
   SketchOptions live_bank_options() const;
-  SketchConnectivity attempt_bank(const SketchOptions& aopt);
+  /// recover_certificate's bank source: the live bank itself when `aopt`
+  /// matches its shape, else a replay of the retained stream built in
+  /// `replay` (caller-owned, so the reference outlives the call).
+  const SketchConnectivity& attempt_bank(const SketchOptions& aopt,
+                                         std::optional<SketchConnectivity>& replay);
   SparsifyResult query_local(int k);
   SparsifyResult query_coordinated(int k);
   ThreadPool* drain_pool();

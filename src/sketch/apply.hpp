@@ -72,8 +72,9 @@ const char* simd_apply_kernel();
 /// each submitted batch synchronously; submit() calls for *distinct*
 /// source vertices may run concurrently (a batch only touches its source's
 /// sketch array — the disjoint-ownership argument of sketch/shard.hpp).
-/// finish() must be called (and return) before the bank is read, cloned,
-/// or encoded; for the CPU backends it is a no-op barrier.
+/// finish() must be called (and return) before the bank is read —
+/// recovered from in place by a session query, or encoded; for the CPU
+/// backends it is a no-op barrier.
 class BatchApplier {
  public:
   BatchApplier(SketchConnectivity& bank, ApplyBackend backend);
@@ -87,7 +88,9 @@ class BatchApplier {
   virtual void submit(VertexId src, std::span<const VertexDelta> deltas);
 
   /// Merge barrier: after finish() returns, the bank reflects every batch
-  /// submitted so far. No-op for the synchronous CPU backends.
+  /// submitted so far — a session query recovers from the live bank in
+  /// place right after it, with no copy in between. No-op for the
+  /// synchronous CPU backends.
   virtual void finish() {}
 
   ApplyBackend backend() const { return backend_; }

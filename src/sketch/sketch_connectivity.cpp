@@ -59,7 +59,7 @@ struct SketchMetrics {
   obs::Counter& failures = obs::Registry::global().counter("recovery.failures");
   obs::Counter& merges = obs::Registry::global().counter("recovery.merges");
   obs::Counter& rounds = obs::Registry::global().counter("recovery.rounds");
-  obs::Gauge& attempts = obs::Registry::global().gauge("recovery.attempts");
+  obs::Counter& attempts = obs::Registry::global().counter("recovery.attempts");
   obs::Gauge& columns = obs::Registry::global().gauge("recovery.columns");
   obs::Gauge& rounds_slack = obs::Registry::global().gauge("recovery.rounds_slack");
 
@@ -180,32 +180,27 @@ void SketchConnectivity::merge(const SketchConnectivity& other) {
   }
 }
 
-void SketchConnectivity::erase_from_copies(const SketchEdge& e, int from) {
-  const std::uint64_t index = encode(e.u, e.v);
-  auto& lo = sketches_[static_cast<std::size_t>(e.u)];
-  auto& hi = sketches_[static_cast<std::size_t>(e.v)];
-  for (std::size_t c = static_cast<std::size_t>(from); c < lo.size(); ++c) {
-    lo[c].update(index, -1);
-    hi[c].update(index, 1);
-  }
-}
-
-bool SketchConnectivity::grow_forest(std::vector<SketchEdge>& forest, ThreadPool* pool,
-                                     RecoveryStats& stats) {
+bool SketchConnectivity::grow_forest(std::vector<SketchEdge>& forest,
+                                     std::span<const SketchEdge> peeled, int& cursor,
+                                     ThreadPool* pool, RecoveryStats& stats) const {
   if (n_ <= 1) return true;
   UnionFind uf(n_);
   // The edges already in `forest` (a resumed partial forest) seed the
   // contraction state; everything recovered below is appended after them.
+  // Seed edges need no peel: they lie inside one supernode every round.
   for (const SketchEdge& e : forest) uf.unite(e.u, e.v);
+  std::vector<std::uint64_t> peeled_index(peeled.size());
+  for (std::size_t i = 0; i < peeled.size(); ++i)
+    peeled_index[i] = encode(peeled[i].u, peeled[i].v);
 
   bool maximal = false;
   for (int round = 0; round < copies_per_forest_ && !maximal; ++round) {
     if (uf.num_components() == 1) break;
-    if (cursor_ >= copies_total()) {
+    if (cursor >= copies_total()) {
       stats.copies_exhausted = true;
       return false;
     }
-    const auto copy = static_cast<std::size_t>(cursor_++);
+    const auto copy = static_cast<std::size_t>(cursor++);
     obs::Span round_span("recovery.round");
     round_span.arg("round", static_cast<std::uint64_t>(round));
 
@@ -254,24 +249,57 @@ bool SketchConnectivity::grow_forest(std::vector<SketchEdge>& forest, ThreadPool
       }
     }
 
+    // Lazy peel: bucket the earlier forests' edges by endpoint slot. An
+    // edge inside one supernode cancels in its sum and is skipped; a
+    // crossing edge is subtracted from both endpoint aggregates with the
+    // signs of its incidence vector (-1 at e.u, +1 at e.v). Bucket
+    // arithmetic wraps, so peeling the aggregate equals peeling every
+    // member copy — the buckets, and so the samples, are bit-identical to
+    // deleting the edges from the bank.
+    std::vector<std::uint32_t> peel_offset(static_cast<std::size_t>(slots) + 1, 0);
+    for (const SketchEdge& e : peeled) {
+      const int su = comp[static_cast<std::size_t>(e.u)];
+      const int sv = comp[static_cast<std::size_t>(e.v)];
+      if (su == sv) continue;
+      ++peel_offset[static_cast<std::size_t>(su) + 1];
+      ++peel_offset[static_cast<std::size_t>(sv) + 1];
+    }
+    for (int s = 0; s < slots; ++s)
+      peel_offset[static_cast<std::size_t>(s) + 1] += peel_offset[static_cast<std::size_t>(s)];
+    std::vector<RawDelta> peels(peel_offset.back());
+    std::vector<std::uint32_t> peel_fill(peel_offset.begin(), peel_offset.end() - 1);
+    for (std::size_t i = 0; i < peeled.size(); ++i) {
+      const int su = comp[static_cast<std::size_t>(peeled[i].u)];
+      const int sv = comp[static_cast<std::size_t>(peeled[i].v)];
+      if (su == sv) continue;
+      peels[peel_fill[static_cast<std::size_t>(su)]++] = {peeled_index[i], -1};
+      peels[peel_fill[static_cast<std::size_t>(sv)]++] = {peeled_index[i], 1};
+    }
+    const auto slot_peels = [&](int s) {
+      return std::span<const RawDelta>(peels.data() + peel_offset[static_cast<std::size_t>(s)],
+                                       peels.data() + peel_offset[static_cast<std::size_t>(s) + 1]);
+    };
+
     std::vector<std::optional<L0Sampler>> partials(static_cast<std::size_t>(num_partials));
     std::vector<L0Sample> samples(static_cast<std::size_t>(slots));
     auto run_segment = [&](const Segment& g) {
       // Linearity cancels intra-supernode edges in the sum, leaving exactly
-      // the supernode's cut. A singleton needs no sum at all — sample the
-      // member's sketch in place.
-      if (g.end - g.begin == 1 && g.partial < 0) {
-        samples[static_cast<std::size_t>(g.slot)] =
-            sketches_[static_cast<std::size_t>(members[g.begin])][copy].sample();
+      // the supernode's cut. A singleton with nothing to peel needs no sum
+      // at all — sample the member's sketch in place.
+      const L0Sampler& first = sketches_[static_cast<std::size_t>(members[g.begin])][copy];
+      if (g.end - g.begin == 1 && g.partial < 0 && slot_peels(g.slot).empty()) {
+        samples[static_cast<std::size_t>(g.slot)] = first.sample();
         return;
       }
-      L0Sampler agg = sketches_[static_cast<std::size_t>(members[g.begin])][copy];
+      L0Sampler agg = first;
       for (std::uint32_t i = g.begin + 1; i < g.end; ++i)
         agg.merge(sketches_[static_cast<std::size_t>(members[i])][copy]);
-      if (g.partial < 0)
+      if (g.partial < 0) {
+        agg.update_run(slot_peels(g.slot));
         samples[static_cast<std::size_t>(g.slot)] = agg.sample();
-      else
+      } else {
         partials[static_cast<std::size_t>(g.partial)] = std::move(agg);
+      }
     };
     if (pool)
       pool->for_range(segs.size(), [&](std::size_t b, std::size_t e) {
@@ -280,9 +308,10 @@ bool SketchConnectivity::grow_forest(std::vector<SketchEdge>& forest, ThreadPool
     else
       for (const Segment& g : segs) run_segment(g);
 
-    // Combine split supernodes' partial sums. Bucket merging is wrapping
-    // integer addition — associative and commutative — so any combine order
-    // yields bit-identical buckets; segment order is used for clarity.
+    // Combine split supernodes' partial sums, then peel the whole sum.
+    // Bucket merging is wrapping integer addition — associative and
+    // commutative — so any combine order yields bit-identical buckets;
+    // segment order is used for clarity.
     for (std::size_t i = 0; i < segs.size();) {
       if (segs[i].partial < 0) {
         ++i;
@@ -292,6 +321,7 @@ bool SketchConnectivity::grow_forest(std::vector<SketchEdge>& forest, ThreadPool
       L0Sampler agg = std::move(*partials[static_cast<std::size_t>(segs[i].partial)]);
       for (++i; i < segs.size() && segs[i].slot == s; ++i)
         agg.merge(*partials[static_cast<std::size_t>(segs[i].partial)]);
+      agg.update_run(slot_peels(s));
       samples[static_cast<std::size_t>(s)] = agg.sample();
     }
 
@@ -343,7 +373,7 @@ std::vector<SketchEdge> SketchConnectivity::spanning_forest(const RecoveryOption
   ThreadPool* pool = recovery_pool(ropt, owned);
   std::vector<SketchEdge> forest;
   RecoveryStats stats;
-  const bool converged = grow_forest(forest, pool, stats);
+  const bool converged = grow_forest(forest, {}, cursor_, pool, stats);
   check_converged(converged, stats.copies_exhausted);
   return forest;
 }
@@ -359,6 +389,13 @@ std::vector<std::vector<SketchEdge>> SketchConnectivity::k_spanning_forests(
 
 KForests SketchConnectivity::try_k_spanning_forests(int k, const RecoveryOptions& ropt,
                                                     const KForests* prior) {
+  KForests r = recover_forests(k, ropt, prior);
+  cursor_ = r.copies_used;
+  return r;
+}
+
+KForests SketchConnectivity::recover_forests(int k, const RecoveryOptions& ropt,
+                                             const KForests* prior) const {
   DECK_CHECK(k >= 1);
   KForests out;
   std::vector<SketchEdge> partial;
@@ -373,49 +410,46 @@ KForests SketchConnectivity::try_k_spanning_forests(int k, const RecoveryOptions
     }
     DECK_CHECK_MSG(static_cast<int>(out.forests.size()) < k || partial.empty(),
                    "prior already recovered k forests");
-    // Peel everything already recovered from every copy: linearity makes
-    // the fresh bank sketch G minus the carried forests, so only the
-    // still-missing forests pay for the retry.
-    for (const auto& f : out.forests)
-      for (const SketchEdge& e : f) erase_from_copies(e, 0);
-    for (const SketchEdge& e : partial) erase_from_copies(e, 0);
   }
   const int completed = static_cast<int>(out.forests.size());
   DECK_CHECK_MSG(k - completed <= opt_.max_forests, "k exceeds the sketch's max_forests budget");
 
+  // Every forest recovered so far — carried from `prior` or peeled by this
+  // call — which later forests' rounds subtract: linearity makes the bank
+  // sketch G minus them without touching a bucket.
+  std::vector<SketchEdge> peeled;
+  for (const auto& f : out.forests) peeled.insert(peeled.end(), f.begin(), f.end());
+  int cursor = cursor_;
   out.forests.reserve(static_cast<std::size_t>(k));
   for (int f = completed; f < k; ++f) {
     std::vector<SketchEdge> forest =
         f == completed ? std::move(partial) : std::vector<SketchEdge>{};
-    const std::size_t seeds = forest.size();
     const std::size_t round_mark = out.stats.per_round.size();
-    const bool converged = grow_forest(forest, pool, out.stats);
+    const bool converged = grow_forest(forest, peeled, cursor, pool, out.stats);
     out.stats.last_forest_samples = 0;
     out.stats.last_forest_failures = 0;
     for (std::size_t r = round_mark; r < out.stats.per_round.size(); ++r) {
       out.stats.last_forest_samples += out.stats.per_round[r].components;
       out.stats.last_forest_failures += out.stats.per_round[r].failures;
     }
-    const std::size_t grown = forest.size();
     out.forests.push_back(std::move(forest));
     if (!converged) {
       out.converged = false;
-      return out;
+      break;
     }
-    // Peel: later forests must sketch G minus everything recovered so far.
-    // Seed edges were already erased from every copy before recovery.
     const auto& done = out.forests.back();
-    for (std::size_t i = seeds; i < grown; ++i) erase_from_copies(done[i], cursor_);
+    peeled.insert(peeled.end(), done.begin(), done.end());
     // Rotate to the next forest's group of copies so every forest starts on
     // untouched randomness even when this one converged early.
-    cursor_ = std::max(cursor_, (f - completed + 1) * copies_per_forest_);
+    cursor = std::max(cursor, (f - completed + 1) * copies_per_forest_);
   }
+  out.copies_used = cursor;
   return out;
 }
 
 SparsifyResult recover_certificate(
     int k, const SketchOptions& opt, const RecoveryOptions& ropt,
-    const std::function<SketchConnectivity(const SketchOptions&)>& ingest) {
+    const std::function<const SketchConnectivity&(const SketchOptions&)>& ingest) {
   DECK_CHECK(k >= 1);
   SketchOptions base = opt;
   base.max_forests = k;
@@ -425,7 +459,7 @@ SparsifyResult recover_certificate(
                                   const SketchOptions& used) {
     result.forests = std::move(kf.forests);
     result.stats = std::move(kf.stats);
-    result.copies_used = bank.copies_used();
+    result.copies_used = kf.copies_used;
     result.attempts = attempts;
     result.columns_used = used.columns;
     result.rounds_slack_used = used.rounds_slack;
@@ -435,10 +469,12 @@ SparsifyResult recover_certificate(
     result.certificate = std::move(cert);
   };
 
-  const auto note_attempt = [](int attempt, const SketchOptions& aopt) {
+  // One recovery.attempts tick per ingest→recover attempt; the gauges hold
+  // the sizing of the latest one.
+  const auto note_attempt = [](const SketchOptions& aopt) {
     if (!obs::enabled()) return;
     SketchMetrics& m = SketchMetrics::get();
-    m.attempts.set(attempt);
+    m.attempts.inc();
     m.columns.set(aopt.columns);
     m.rounds_slack.set(aopt.rounds_slack);
   };
@@ -448,9 +484,9 @@ SparsifyResult recover_certificate(
     span.arg("attempt", 0);
     span.arg("columns", static_cast<std::uint64_t>(base.columns));
     span.arg("rounds_slack", static_cast<std::uint64_t>(base.rounds_slack));
-    note_attempt(1, base);
-    SketchConnectivity bank = ingest(base);
-    KForests kf = bank.try_k_spanning_forests(k, ropt);
+    note_attempt(base);
+    const SketchConnectivity& bank = ingest(base);
+    KForests kf = bank.recover_forests(k, ropt);
     check_converged(kf.converged, kf.stats.copies_exhausted);
     finalize(bank, std::move(kf), /*attempts=*/1, base);
     return result;
@@ -483,9 +519,9 @@ SparsifyResult recover_certificate(
     span.arg("attempt", static_cast<std::uint64_t>(attempt));
     span.arg("columns", static_cast<std::uint64_t>(columns));
     span.arg("rounds_slack", static_cast<std::uint64_t>(slack));
-    note_attempt(attempt + 1, aopt);
-    SketchConnectivity bank = ingest(aopt);
-    KForests kf = bank.try_k_spanning_forests(k, ropt, have_carry ? &carry : nullptr);
+    note_attempt(aopt);
+    const SketchConnectivity& bank = ingest(aopt);
+    KForests kf = bank.recover_forests(k, ropt, have_carry ? &carry : nullptr);
     if (kf.converged) {
       finalize(bank, std::move(kf), attempt + 1, aopt);
       return result;

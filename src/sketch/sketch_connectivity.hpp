@@ -11,8 +11,14 @@
 // each round, every component samples one cut edge and components merge.
 // Sampling consumes randomness, so each vertex holds a fresh sketch *copy*
 // per Borůvka round; k_spanning_forests rotates through k groups of copies
-// (the Landscape repo's supernode-cycling trick) and, after peeling a
-// forest, deletes its edges from all still-unused copies via linearity.
+// (the Landscape repo's supernode-cycling trick). Later forests must sketch
+// G minus the forests already peeled. Recovery never writes a bucket to get
+// there: each round buckets the earlier forests' edges by the supernodes of
+// their endpoints and subtracts each crossing edge from its two supernode
+// aggregates before sampling (an edge inside one supernode cancels in the
+// sum and is skipped). By linearity that is bit-identical to deleting the
+// edges from every still-unused copy, and it leaves the bank read-only — a
+// live bank (serve/session.hpp) answers any number of queries in place.
 //
 // Recovery parallelizes over supernodes (RecoveryOptions::threads): each
 // Borůvka round partitions the per-supernode aggregation + sampling work
@@ -128,13 +134,17 @@ struct RecoveryStats {
   std::vector<RoundStats> per_round;
 };
 
-/// Result of try_k_spanning_forests(): the recovered forests (the last one
-/// partial when !converged), convergence flag, and round telemetry. A failed
-/// result can be fed back as `prior` to a fresh, larger bank to resume.
+/// Result of recover_forests() / try_k_spanning_forests(): the recovered
+/// forests (the last one partial when !converged), convergence flag, round
+/// telemetry, and the copy cursor the recovery ended at. A failed result can
+/// be fed back as `prior` to a fresh, larger bank to resume.
 struct KForests {
   std::vector<std::vector<SketchEdge>> forests;
   bool converged = true;
   RecoveryStats stats;
+  /// Copy cursor after this recovery — what copies_used() reads once a
+  /// consuming entry point has run it.
+  int copies_used = 0;
 };
 
 class SketchConnectivity {
@@ -173,25 +183,33 @@ class SketchConnectivity {
   /// ingestion-time operation, performed before recovery consumes copies.
   void merge(const SketchConnectivity& other);
 
-  /// Recovers a maximal spanning forest of the currently-sketched graph
-  /// (Borůvka on sketches), consuming one sketch copy per round. Throws on
-  /// non-convergence.
-  std::vector<SketchEdge> spanning_forest(const RecoveryOptions& ropt = {});
+  /// Non-throwing k-forest peel with telemetry, read-only: recovery starts
+  /// at copy copies_used(), reads buckets and never writes them, and reports
+  /// the cursor it ended at in KForests::copies_used. The consuming
+  /// k-forest entry points below run this one. `prior` resumes a failed
+  /// recovery on this (fresh — copies_used() == 0) bank: prior's completed
+  /// forests are kept verbatim and peeled from every round like this call's
+  /// own earlier forests, and recovery continues from the partial forest's
+  /// contraction state — only the failing forests pay for the retry. The
+  /// bank's max_forests budget must cover k minus the forests prior
+  /// completed.
+  KForests recover_forests(int k, const RecoveryOptions& ropt = {},
+                           const KForests* prior = nullptr) const;
+
+  /// recover_forests(), then advances copies_used() past the copies it
+  /// read — the consuming form, for banks that recover once.
+  KForests try_k_spanning_forests(int k, const RecoveryOptions& ropt = {},
+                                  const KForests* prior = nullptr);
 
   /// Peels k edge-disjoint spanning forests F_1..F_k, F_i a maximal
   /// spanning forest of G \ (F_1 ∪ … ∪ F_{i-1}). Requires k <= max_forests.
-  /// Throws on non-convergence.
+  /// Consuming; throws on non-convergence.
   std::vector<std::vector<SketchEdge>> k_spanning_forests(int k, const RecoveryOptions& ropt = {});
 
-  /// Non-throwing k-forest peel with telemetry. `prior` resumes a failed
-  /// recovery on this (fresh — copies_used() == 0) bank: prior's completed
-  /// forests are kept verbatim, their edges (and the partial forest's) are
-  /// peeled from every copy by linearity, and recovery continues from the
-  /// partial forest's contraction state — only the failing forests pay for
-  /// the retry. The bank's max_forests budget must cover k minus the
-  /// forests prior completed.
-  KForests try_k_spanning_forests(int k, const RecoveryOptions& ropt = {},
-                                  const KForests* prior = nullptr);
+  /// Recovers a maximal spanning forest of the currently-sketched graph
+  /// (Borůvka on sketches), one sketch copy per round. Consuming; throws on
+  /// non-convergence.
+  std::vector<SketchEdge> spanning_forest(const RecoveryOptions& ropt = {});
 
   int num_vertices() const { return n_; }
   const SketchOptions& options() const { return opt_; }
@@ -202,21 +220,21 @@ class SketchConnectivity {
   friend struct SketchIoAccess;  // sketch_io.cpp: raw bucket encode/decode
   std::uint64_t encode(VertexId lo, VertexId hi) const;
   SketchEdge decode(std::uint64_t index) const;
-  /// Deletes a recovered forest edge from every copy at index >= from so
-  /// later forests see the peeled graph.
-  void erase_from_copies(const SketchEdge& e, int from);
 
-  /// One maximal-forest Borůvka run, consuming up to copies_per_forest_
-  /// copies. `forest`'s existing edges (a resumed partial forest; empty to
-  /// start from singletons) seed the contraction state; recovered edges are
-  /// appended after them and telemetry to `stats`. Returns convergence.
-  /// `pool` is null for the inline single-thread path.
-  bool grow_forest(std::vector<SketchEdge>& forest, ThreadPool* pool, RecoveryStats& stats);
+  /// One maximal-forest Borůvka run over up to copies_per_forest_ copies
+  /// starting at `cursor`, which it advances. `forest`'s existing edges (a
+  /// resumed partial forest; empty to start from singletons) seed the
+  /// contraction state; recovered edges are appended after them and
+  /// telemetry to `stats`. `peeled` holds the earlier forests' edges, which
+  /// every round subtracts from its supernode aggregates. Returns
+  /// convergence. `pool` is null for the inline single-thread path.
+  bool grow_forest(std::vector<SketchEdge>& forest, std::span<const SketchEdge> peeled,
+                   int& cursor, ThreadPool* pool, RecoveryStats& stats) const;
 
   int n_ = 0;
   SketchOptions opt_;
   int copies_per_forest_ = 0;
-  int cursor_ = 0;                            // next unused copy index
+  int cursor_ = 0;  // next unused copy index; only the consuming entry points move it
   std::vector<std::vector<L0Sampler>> sketches_;  // [vertex][copy]
 };
 
@@ -248,12 +266,15 @@ struct SparsifyResult {
 SparsifyResult sparsify_stream(const GraphStream& stream, int k, const SketchOptions& opt = {},
                                const RecoveryOptions& ropt = {});
 
-/// Shared ingest→recover driver behind sparsify_stream() and
-/// sharded_sparsify_stream(): `ingest` builds and fills a bank for one
-/// attempt's options (the adaptive loop calls it once per attempt with
-/// geometrically grown sizing and a split_seed-derived attempt seed).
+/// Shared ingest→recover driver behind every session query: `ingest`
+/// yields a filled bank for one attempt's options (the adaptive loop calls
+/// it once per attempt with geometrically grown sizing and a
+/// split_seed-derived attempt seed). Recovery only reads the bank, so the
+/// source may hand out a live bank it keeps ingesting into afterwards; a
+/// freshly built bank goes into storage the source owns, and the reference
+/// must stay valid until the next call.
 SparsifyResult recover_certificate(
     int k, const SketchOptions& opt, const RecoveryOptions& ropt,
-    const std::function<SketchConnectivity(const SketchOptions&)>& ingest);
+    const std::function<const SketchConnectivity&(const SketchOptions&)>& ingest);
 
 }  // namespace deck

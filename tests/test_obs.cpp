@@ -7,11 +7,14 @@
 #include <thread>
 #include <vector>
 
+#include "graph/generators.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "serve/session.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace deck {
@@ -183,6 +186,30 @@ TEST_F(ObsTest, ExponentialBoundsAscendEvenUnderRounding) {
   EXPECT_EQ(lat.front(), 1000u);
   EXPECT_EQ(lat[1], 2000u);
   EXPECT_THROW(obs::exponential_bounds(0, 2.0, 3), std::logic_error);
+}
+
+TEST_F(ObsTest, RecoveryAttemptsTickOncePerQueryWithoutAdaptiveSizing) {
+  // recovery.attempts is a counter like its recovery.* siblings: one tick
+  // per ingest→recover attempt, so a fixed-sizing session ticks once per
+  // query. The latest attempt's sizing stays in the two gauges.
+  Rng rng(83);
+  const Graph g = random_kec(24, 2, 24, rng);
+  GraphSession session(g.num_vertices(), 2);
+  std::uint64_t queries = 0;
+  for (const Edge& e : g.edges()) {
+    session.insert(e.u, e.v);
+    if (session.stats().updates % 20 == 0) {
+      (void)session.query();
+      ++queries;
+    }
+  }
+  (void)session.query();
+  ++queries;
+  const obs::Snapshot snap = obs::Registry::global().scrape();
+  EXPECT_EQ(snap.counter("serve.session.queries"), queries);
+  EXPECT_EQ(snap.counter("recovery.attempts"), queries);
+  EXPECT_EQ(snap.gauge("recovery.columns"), SketchOptions{}.columns);
+  EXPECT_EQ(snap.gauge("recovery.rounds_slack"), SketchOptions{}.rounds_slack);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,32 +28,42 @@ SketchConnectivity ingested_bank(const GraphStream& s, const SketchOptions& opt)
 TEST(ParallelRecovery, BitIdenticalToSequentialForEveryThreadCount) {
   // The tentpole property: parallel Borůvka-on-sketches recovery must be
   // *bit-identical* to the sequential path — same forests in the same order
-  // AND the same post-recovery bank bytes (the peeled copies saw the same
-  // erasures) — for every thread count.
+  // — for every thread count, and recovery only reads the bank: its encoded
+  // bytes afterwards are the ingested bytes.
   for (std::uint64_t seed : {5u, 19u}) {
     const GraphStream s = churned_stream(56, 2, seed);
     SketchOptions sopt;
     sopt.seed = 700 + seed;
     sopt.max_forests = 2;
 
-    SketchConnectivity sequential = ingested_bank(s, sopt);
+    const SketchConnectivity sequential = ingested_bank(s, sopt);
     const std::vector<std::uint8_t> ingested = encode_bank(sequential);
-    const auto want = sequential.k_spanning_forests(2, {.threads = 1});
-    const std::vector<std::uint8_t> want_bytes = encode_bank(sequential);
+    const KForests want = sequential.recover_forests(2, {.threads = 1});
+    ASSERT_TRUE(want.converged);
+    EXPECT_EQ(encode_bank(sequential), ingested);
+    EXPECT_EQ(sequential.copies_used(), 0);
 
     for (int threads : {2, 4, 8}) {
-      SketchConnectivity bank = decode_bank(ingested);
-      const auto got = bank.k_spanning_forests(2, {.threads = threads});
-      ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
-      for (std::size_t f = 0; f < got.size(); ++f) {
-        ASSERT_EQ(got[f].size(), want[f].size()) << "threads=" << threads;
-        for (std::size_t i = 0; i < got[f].size(); ++i) {
-          EXPECT_EQ(got[f][i].u, want[f][i].u) << "threads=" << threads;
-          EXPECT_EQ(got[f][i].v, want[f][i].v) << "threads=" << threads;
+      const SketchConnectivity bank = decode_bank(ingested);
+      const KForests got = bank.recover_forests(2, {.threads = threads});
+      ASSERT_EQ(got.forests.size(), want.forests.size()) << "threads=" << threads;
+      for (std::size_t f = 0; f < got.forests.size(); ++f) {
+        ASSERT_EQ(got.forests[f].size(), want.forests[f].size()) << "threads=" << threads;
+        for (std::size_t i = 0; i < got.forests[f].size(); ++i) {
+          EXPECT_EQ(got.forests[f][i].u, want.forests[f][i].u) << "threads=" << threads;
+          EXPECT_EQ(got.forests[f][i].v, want.forests[f][i].v) << "threads=" << threads;
         }
       }
-      EXPECT_EQ(encode_bank(bank), want_bytes) << "threads=" << threads;
+      EXPECT_EQ(got.copies_used, want.copies_used) << "threads=" << threads;
+      EXPECT_EQ(encode_bank(bank), ingested) << "threads=" << threads;
     }
+
+    // The consuming form recovers the same forests and only moves the
+    // cursor, which sketch_io carries in the bank header.
+    SketchConnectivity consumed = decode_bank(ingested);
+    EXPECT_EQ(sorted_pairs(consumed.k_spanning_forests(2)), sorted_pairs(want.forests));
+    EXPECT_EQ(consumed.copies_used(), want.copies_used);
+    EXPECT_EQ(peek_chunk(encode_bank(consumed)).cursor, want.copies_used);
   }
 }
 
@@ -175,6 +187,172 @@ TEST(ParallelRecovery, ResumeKeepsCompletedForestsVerbatim) {
       cert.add_edge(e.u, e.v, 1);
     }
   EXPECT_TRUE(is_k_edge_connected(cert, 2));
+}
+
+// ---------------------------------------------------------------------------
+// Golden recovery. The thread-count and resume suites compare recovery with
+// itself, so they cannot see a bug every path shares; these pin the exact
+// forests and telemetry of reference runs instead. The values were captured
+// from the eager-erasure recovery (every peeled edge written into every
+// still-unused copy), an implementation that shares no code with today's
+// lazy per-round peel.
+
+std::uint64_t forests_digest(const std::vector<std::vector<SketchEdge>>& forests) {
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a over (size, u, v, u, v, …) per forest
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ull;
+  };
+  for (const auto& f : forests) {
+    mix(f.size());
+    for (const SketchEdge& e : f) {
+      mix(static_cast<std::uint64_t>(e.u));
+      mix(static_cast<std::uint64_t>(e.v));
+    }
+  }
+  return h;
+}
+
+struct RecoveryGolden {
+  std::uint64_t digest;
+  int rounds;
+  long long samples, failures;
+  int copies_used;
+};
+
+void expect_recovery_golden(const std::vector<std::vector<SketchEdge>>& forests,
+                            const RecoveryStats& stats, int copies_used,
+                            const RecoveryGolden& want, const std::string& what) {
+  EXPECT_EQ(forests_digest(forests), want.digest) << what;
+  EXPECT_EQ(stats.rounds, want.rounds) << what;
+  EXPECT_EQ(stats.samples, want.samples) << what;
+  EXPECT_EQ(stats.failures, want.failures) << what;
+  EXPECT_EQ(copies_used, want.copies_used) << what;
+}
+
+TEST(RecoveryGolden, KForestsMatchTheReference) {
+  // Three columns instead of six so some samples fail and retry.
+  const RecoveryGolden want[] = {
+      {0x9cfa3bd8afd61819ull, 3, 106, 1, 11},
+      {0x8a82a6c63f5b3c9full, 6, 213, 5, 22},
+      {0xf7208a58ec16468bull, 10, 332, 5, 33},
+  };
+  for (int k : {1, 2, 3}) {
+    const GraphStream s = churned_stream(80, k, 500 + static_cast<std::uint64_t>(k));
+    SketchOptions sopt;
+    sopt.seed = 9000 + static_cast<std::uint64_t>(k);
+    sopt.max_forests = k;
+    sopt.columns = 3;
+    for (int threads : {1, 4}) {
+      const std::string what = "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+      const RecoveryGolden& g = want[k - 1];
+      SketchConnectivity bank = ingested_bank(s, sopt);
+      const KForests r = bank.try_k_spanning_forests(k, {.threads = threads});
+      ASSERT_TRUE(r.converged) << what;
+      expect_recovery_golden(r.forests, r.stats, bank.copies_used(), g, what);
+      SketchConnectivity twin = ingested_bank(s, sopt);
+      EXPECT_EQ(forests_digest(twin.k_spanning_forests(k, {.threads = threads})), g.digest) << what;
+      EXPECT_EQ(twin.copies_used(), g.copies_used) << what;
+    }
+  }
+}
+
+TEST(RecoveryGolden, ResumedRecoveryMatchesTheReference) {
+  // A completed forest and a partial one carried into a fresh bank, which
+  // then finishes the partial forest and recovers a third.
+  const GraphStream s = churned_stream(72, 3, 610);
+  SketchOptions sopt;
+  sopt.seed = 6100;
+  sopt.max_forests = 3;
+  SketchConnectivity first = ingested_bank(s, sopt);
+  const KForests attempt = first.try_k_spanning_forests(3, {});
+  ASSERT_TRUE(attempt.converged);
+  KForests failed;
+  failed.converged = false;
+  failed.forests = {attempt.forests[0], attempt.forests[1]};
+  failed.forests[1].resize(failed.forests[1].size() / 2);
+
+  SketchOptions retry_opt = sopt;
+  retry_opt.seed = 6200;
+  retry_opt.max_forests = 2;
+  for (int threads : {1, 4}) {
+    SketchConnectivity second = ingested_bank(s, retry_opt);
+    const KForests r = second.try_k_spanning_forests(3, {.threads = threads}, &failed);
+    ASSERT_TRUE(r.converged);
+    expect_recovery_golden(r.forests, r.stats, second.copies_used(),
+                           {0x4fba4bb3eb0b8397ull, 6, 148, 0, 22},
+                           "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(RecoveryGolden, GrownAutoSizeAttemptMatchesTheReference) {
+  const GraphStream s = churned_stream(96, 2, 41);
+  SketchOptions opt;
+  opt.seed = 97;
+  opt.auto_size.enabled = true;
+  opt.auto_size.initial_columns = 1;
+  opt.auto_size.initial_rounds_slack = 1;
+  opt.auto_size.max_attempts = 8;
+  for (int threads : {1, 4}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    const SparsifyResult r = sparsify_stream(s, 2, opt, {.threads = threads});
+    EXPECT_EQ(r.attempts, 2) << what;  // columns grew 1 → 2
+    EXPECT_EQ(r.columns_used, 2) << what;
+    EXPECT_EQ(r.rounds_slack_used, 1) << what;
+    expect_recovery_golden(r.forests, r.stats, r.copies_used, {0xec234f12e771f83eull, 1, 2, 0, 8},
+                           what);
+  }
+}
+
+TEST(RecoveryGolden, DisconnectedGraphMatchesTheReference) {
+  // Two 2-edge-connected components on disjoint vertex ranges plus four
+  // isolated vertices: every forest must stop at maximal, not spanning.
+  Rng rng(620);
+  const Graph a = random_kec(30, 2, 40, rng);
+  const Graph b = random_kec(26, 2, 30, rng);
+  Graph g(60);
+  for (const Edge& e : a.edges()) g.add_edge(e.u, e.v, 1);
+  for (const Edge& e : b.edges()) g.add_edge(e.u + 30, e.v + 30, 1);
+  GraphStream s = GraphStream::from_graph(g, rng);
+  s.churn(g.num_edges() / 2, rng);
+  SketchOptions sopt;
+  sopt.seed = 6300;
+  sopt.max_forests = 2;
+  for (int threads : {1, 4}) {
+    SketchConnectivity bank = ingested_bank(s, sopt);
+    const KForests r = bank.try_k_spanning_forests(2, {.threads = threads});
+    ASSERT_TRUE(r.converged);
+    expect_recovery_golden(r.forests, r.stats, bank.copies_used(),
+                           {0x12d4702bde7955caull, 7, 179, 0, 20},
+                           "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(RecoveryGolden, SplitSupernodesMatchSequential) {
+  // Parallel recovery splits a supernode into segments only above 256
+  // members, so the partial-sum combine (and the peel applied after it)
+  // needs n well past that: the late rounds of each forest hold
+  // supernodes of several hundred members.
+  const GraphStream s = churned_stream(600, 2, 630);
+  SketchOptions sopt;
+  sopt.seed = 6400;
+  sopt.max_forests = 2;
+  SketchConnectivity sequential = ingested_bank(s, sopt);
+  const KForests want = sequential.try_k_spanning_forests(2, {.threads = 1});
+  ASSERT_TRUE(want.converged);
+  expect_recovery_golden(want.forests, want.stats, sequential.copies_used(),
+                         {0xa9afd1f588ca18b1ull, 9, 1552, 0, 28}, "threads=1");
+  for (int threads : {2, 4}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    SketchConnectivity bank = ingested_bank(s, sopt);
+    const KForests r = bank.try_k_spanning_forests(2, {.threads = threads});
+    ASSERT_TRUE(r.converged) << what;
+    EXPECT_EQ(forests_digest(r.forests), forests_digest(want.forests)) << what;
+    EXPECT_EQ(r.stats.rounds, want.stats.rounds) << what;
+    EXPECT_EQ(r.stats.samples, want.stats.samples) << what;
+    EXPECT_EQ(r.stats.failures, want.stats.failures) << what;
+    EXPECT_EQ(bank.copies_used(), sequential.copies_used()) << what;
+  }
 }
 
 TEST(AutoSize, CertificateRemainsKEdgeConnected) {

@@ -11,6 +11,7 @@
 #include <latch>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,11 +41,14 @@ namespace {
 
 SparsifyResult reference_sparsify(const GraphStream& stream, int k, const SketchOptions& opt,
                                   const RecoveryOptions& ropt = {}) {
-  return recover_certificate(k, opt, ropt, [&stream](const SketchOptions& aopt) {
-    SketchConnectivity sk(stream.num_vertices(), aopt);
-    for (const StreamUpdate& u : stream.updates()) sk.update(u.u, u.v, u.insert ? 1 : -1);
-    return sk;
-  });
+  std::optional<SketchConnectivity> bank;
+  return recover_certificate(k, opt, ropt,
+                             [&](const SketchOptions& aopt) -> const SketchConnectivity& {
+                               SketchConnectivity& sk = bank.emplace(stream.num_vertices(), aopt);
+                               for (const StreamUpdate& u : stream.updates())
+                                 sk.update(u.u, u.v, u.insert ? 1 : -1);
+                               return sk;
+                             });
 }
 
 std::vector<std::pair<VertexId, VertexId>> graph_pairs(const Graph& g) {
@@ -360,8 +364,8 @@ TEST(ServeSession, MidStreamQueryDoesNotPerturbLaterQueries) {
     uninterrupted.apply(u);
     if (++i == stream.size() / 2) (void)interrupted.query();
   }
-  // Query at r, then continue ≡ never querying: the live bank's copies are
-  // cloned, not consumed.
+  // Query at r, then continue ≡ never querying: recovery reads the live
+  // bank in place and consumes none of its copies.
   expect_same_result(interrupted.query(), uninterrupted.query());
 }
 
@@ -377,7 +381,28 @@ TEST(ServeSession, AdaptiveSizingReusesTheLiveBankOnAttemptZero) {
   session.ingest(stream);
   expect_same_result(session.query(), reference_sparsify(stream, 2, opt));
   const SessionStats stats = session.stats();
-  EXPECT_GE(stats.bank_reuses, 1u);  // attempt 0 cloned the live bank
+  EXPECT_GE(stats.bank_reuses, 1u);  // attempt 0 read the live bank
+}
+
+TEST(ServeSession, RepeatedQueriesLeaveTheLiveBankUntouched) {
+  // query(), query() again with no updates in between, then more updates
+  // and a third query: each must equal a fresh ingest() of the same prefix,
+  // which it cannot if recovery wrote into the live bank.
+  const GraphStream stream = churned_stream(40, 2, 580);
+  IngestOptions io;
+  io.sketch.seed = 581;
+  io.recovery.threads = 2;
+
+  GraphSession session(stream.num_vertices(), 2, io);
+  const std::size_t half = stream.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) session.apply(stream.updates()[i]);
+  const SparsifyResult want_half = ingest(prefix_stream(stream, half), 2, io);
+  expect_same_result(session.query(), want_half);
+  expect_same_result(session.query(), want_half);
+  for (std::size_t i = half; i < stream.size(); ++i) session.apply(stream.updates()[i]);
+  expect_same_result(session.query(), ingest(stream, 2, io));
+  EXPECT_EQ(session.stats().bank_reuses, 3u);
+  EXPECT_EQ(session.stats().bank_replays, 0u);
 }
 
 TEST(ServeSession, QueryForAnotherKReplaysTheRetainedStream) {
