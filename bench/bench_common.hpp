@@ -6,6 +6,7 @@
 // EXPERIMENTS.md can quote the output verbatim. Sizes are chosen so the full
 // suite completes in minutes on a laptop; pass --large for bigger sweeps.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,10 +38,10 @@ inline const char* arg_value(int argc, char** argv, const char* name) {
 }
 
 /// CONGEST execution backend selected on the bench command line:
-/// `--engine {seq,pool,net}` plus `--engine-units N` (pool threads / net
-/// workers; defaults: 4 threads, 2 workers). The fleet member keeps the
-/// in-process net workers alive for the duration of the run — every Network
-/// built from `hub` must be destroyed before the EngineChoice is.
+/// `--engine {seq,net}` plus `--engine-units N` (net workers, 1..64;
+/// default 2). The fleet member keeps the in-process net workers alive for
+/// the duration of the run — every Network built from `hub` must be
+/// destroyed before the EngineChoice is.
 struct EngineChoice {
   std::string name = "seq";
   int units = 1;
@@ -52,20 +53,24 @@ inline EngineChoice engine_from_args(int argc, char** argv) {
   EngineChoice c;
   const char* kind = arg_value(argc, argv, "--engine");
   if (kind == nullptr || std::strcmp(kind, "seq") == 0) return c;
-  const char* units = arg_value(argc, argv, "--engine-units");
-  if (std::strcmp(kind, "pool") == 0) {
-    c.name = "pool";
-    c.units = units != nullptr ? std::atoi(units) : 4;
-    c.hub = EngineHub::parallel(c.units);
-  } else if (std::strcmp(kind, "net") == 0) {
-    c.name = "net";
-    c.units = units != nullptr ? std::atoi(units) : 2;
-    c.fleet = std::make_shared<CongestWorkerFleet>(c.units);
-    c.hub = c.fleet->hub();
-  } else {
-    std::fprintf(stderr, "unknown --engine '%s' (expected seq, pool, or net)\n", kind);
+  if (std::strcmp(kind, "net") != 0) {
+    std::fprintf(stderr, "unknown --engine '%s' (expected seq or net)\n", kind);
     std::exit(2);
   }
+  c.name = "net";
+  c.units = 2;
+  if (const char* units = arg_value(argc, argv, "--engine-units"); units != nullptr) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(units, &end, 10);
+    if (end == units || *end != '\0' || errno != 0 || v < 1 || v > 64) {
+      std::fprintf(stderr, "bad --engine-units '%s' (expected an integer in 1..64)\n", units);
+      std::exit(2);
+    }
+    c.units = static_cast<int>(v);
+  }
+  c.fleet = std::make_shared<CongestWorkerFleet>(c.units);
+  c.hub = c.fleet->hub();
   return c;
 }
 

@@ -1,6 +1,6 @@
 // F11 — CONGEST engine scaling curve: the same 2-ECSS pipeline executed on
-// every backend (sequential, thread pool with 1/2/4/8 threads, Transport-
-// backed fleet with 1/2/4 in-process workers). Round and message counters
+// every backend (sequential, and the Transport-backed fleet with 1/2/4
+// in-process workers). Round and message counters
 // are part of the engine-identity contract — every row must match the
 // sequential row exactly, and the `identical_to_seq` flag feeds the
 // bench-regression gate (a false flag fails CI). Wall-clock per engine is
@@ -60,8 +60,6 @@ int main(int argc, char** argv) {
   std::vector<EngineRun> runs;
   const EngineRun base = run_once(g, "seq", 1, EngineHub::sequential());
   runs.push_back(base);
-  for (int threads : {1, 2, 4, 8})
-    runs.push_back(run_once(g, "pool", threads, EngineHub::parallel(threads)));
   for (int workers : {1, 2, 4}) {
     CongestWorkerFleet fleet(workers);
     runs.push_back(run_once(g, "net", workers, fleet.hub()));

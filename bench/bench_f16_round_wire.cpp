@@ -1,5 +1,5 @@
 // F16 — net-engine round wire cost: coordinator wire bytes per round and
-// wall time per round by worker stepping threads, at 4 workers. Each run
+// wall time per round, at 4 workers. Each run
 // also reports what its round frames would have cost in the fixed packet
 // format (congest.net.round_fixed_bytes), so the delta codec's reduction
 // comes from the same run.
@@ -10,15 +10,15 @@
 //     ships a thin slice of boundary traffic whose payloads are the BFS
 //     flood's near-constant packets: the delta format's best case, and the
 //     shape the >= 5x reduction gate (`delta_reduction_ok`) is scored on:
-//     fixed-format bytes over wire bytes of the threads = 1 run.
+//     fixed-format bytes over wire bytes.
 //   * frontier-dense — the 2-ECSS pipeline on a random 2-edge-connected
 //     graph: broad rounds with novel payloads (upcast keys, priorities),
 //     the delta format's adversarial case; the gate only asks that bytes
 //     never exceed the fixed format's (the codec falls back per frame;
 //     `not_above_fixed` per row).
 //
-// Wire bytes, rounds, and messages are deterministic and gated per row
-// (workload, threads); every row's output must stay bit-identical to the
+// Wire bytes, rounds, and messages are deterministic and gated per
+// workload; every row's output must stay bit-identical to the
 // sequential engine (identical_to_seq feeds the gate). Wall time is
 // host-dependent and never gated.
 
@@ -82,14 +82,12 @@ struct WireRun {
 };
 
 template <typename Algo>
-WireRun run_config(const Graph& g, Algo&& algo, const SeqBase& base, int threads) {
+WireRun run_config(const Graph& g, Algo&& algo, const SeqBase& base) {
   obs::Registry::global().reset();
-  FleetOptions o;
-  o.worker.threads = threads;
   WireRun r;
   const auto t0 = std::chrono::steady_clock::now();
   {
-    CongestWorkerFleet fleet(4, o);
+    CongestWorkerFleet fleet(4);
     Network net(g, fleet.hub());
     const std::vector<EdgeId> edges = algo(net);
     r.rounds = net.rounds();
@@ -131,7 +129,7 @@ int main(int argc, char** argv) {
        [](Network& net) { return distributed_2ecss(net, TapOptions{}).edges; }},
   };
 
-  Table t({"workload", "threads", "rounds", "wire bytes", "fixed bytes", "bytes/round",
+  Table t({"workload", "rounds", "wire bytes", "fixed bytes", "bytes/round",
            "delta/full", "identical", "wall ms"});
   Json rows = Json::array();
   bool all_ok = true;
@@ -144,38 +142,34 @@ int main(int argc, char** argv) {
       base.rounds = net.rounds();
       base.messages = net.messages();
     }
-    for (int threads : {1, 2}) {
-      const WireRun r = run_config(w.g, w.algo, base, threads);
-      const bool not_above_fixed = r.wire_bytes <= r.fixed_bytes;
-      all_ok = all_ok && r.identical && not_above_fixed;
-      if (w.name == "frontier-sparse" && threads == 1) {
-        sparse_fixed_bytes = static_cast<double>(r.fixed_bytes);
-        sparse_wire_bytes = static_cast<double>(r.wire_bytes);
-      }
-      const double per_round =
-          r.wire_rounds == 0 ? 0 : static_cast<double>(r.wire_bytes) /
-                                       static_cast<double>(r.wire_rounds);
-      t.add(w.name, threads, r.rounds, r.wire_bytes, r.fixed_bytes, per_round,
-            std::to_string(r.delta_frames) + "/" + std::to_string(r.full_frames),
-            r.identical ? "yes" : "NO", r.wall_ms);
-      Json row = Json::object();
-      row.set("workload", w.name)
-          .set("threads", threads)
-          .set("workers", 4)
-          .set("n", n)
-          .set("rounds", r.rounds)
-          .set("messages", r.messages)
-          .set("wire_bytes", r.wire_bytes)
-          .set("round_fixed_bytes", r.fixed_bytes)
-          .set("delta_frames", r.delta_frames)
-          .set("full_frames", r.full_frames)
-          .set("identical_to_seq", r.identical)
-          .set("not_above_fixed", not_above_fixed)
-          .set("wall_ms", r.wall_ms)
-          .set("wall_ms_per_round",
-               r.rounds == 0 ? 0 : r.wall_ms / static_cast<double>(r.rounds));
-      rows.push(std::move(row));
+    const WireRun r = run_config(w.g, w.algo, base);
+    const bool not_above_fixed = r.wire_bytes <= r.fixed_bytes;
+    all_ok = all_ok && r.identical && not_above_fixed;
+    if (w.name == "frontier-sparse") {
+      sparse_fixed_bytes = static_cast<double>(r.fixed_bytes);
+      sparse_wire_bytes = static_cast<double>(r.wire_bytes);
     }
+    const double per_round =
+        r.wire_rounds == 0 ? 0 : static_cast<double>(r.wire_bytes) /
+                                     static_cast<double>(r.wire_rounds);
+    t.add(w.name, r.rounds, r.wire_bytes, r.fixed_bytes, per_round,
+          std::to_string(r.delta_frames) + "/" + std::to_string(r.full_frames),
+          r.identical ? "yes" : "NO", r.wall_ms);
+    Json row = Json::object();
+    row.set("workload", w.name)
+        .set("workers", 4)
+        .set("n", n)
+        .set("rounds", r.rounds)
+        .set("messages", r.messages)
+        .set("wire_bytes", r.wire_bytes)
+        .set("round_fixed_bytes", r.fixed_bytes)
+        .set("delta_frames", r.delta_frames)
+        .set("full_frames", r.full_frames)
+        .set("identical_to_seq", r.identical)
+        .set("not_above_fixed", not_above_fixed)
+        .set("wall_ms", r.wall_ms)
+        .set("wall_ms_per_round", r.rounds == 0 ? 0 : r.wall_ms / static_cast<double>(r.rounds));
+    rows.push(std::move(row));
   }
 
   const double reduction = sparse_wire_bytes == 0 ? 0 : sparse_fixed_bytes / sparse_wire_bytes;

@@ -23,11 +23,11 @@
 // pid lane, parented under the coordinator's net.execute spans via the
 // trace context the Start message carries (docs/tracing.md).
 //
-// The certificate is bit-identical to single-process
-// sharded_sparsify_stream() on the same seeded stream — linearity makes any
-// disjoint stream partition merge to the same bank, and split_seed lets
-// every process derive the same per-copy sampler seeds with zero shared
-// state. The 2-ECSS run on the DistributedEngine must match the sequential
+// The certificate is bit-identical to single-process sharded ingest
+// (deck::ingest() in IngestMode::kSharded) on the same seeded stream —
+// linearity makes any disjoint stream partition merge to the same bank,
+// and split_seed lets every process derive the same per-copy sampler seeds
+// with zero shared state. The 2-ECSS run on the DistributedEngine must match the sequential
 // engine edge for edge, round for round (the engine-identity property).
 
 #include <sys/wait.h>
@@ -51,7 +51,7 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sketch/shard.hpp"
+#include "serve/session.hpp"
 #include "sketch/stream.hpp"
 #include "support/rng.hpp"
 
@@ -131,11 +131,21 @@ int main(int argc, char** argv) {
     raw.push_back(accepted.back().get());
   }
 
-  // One shared pool (4 threads) overlaps the four workers' chunk streams
-  // with assembly, then runs the Borůvka recovery fan-out.
-  IngestCoordinatorOptions copt;
-  copt.threads = 4;
-  const SparsifyResult remote = coordinated_sparsify(raw, n, k, opt, copt);
+  // A coordinated session queries the fleet once. Its shared pool (4
+  // threads) overlaps the four workers' chunk streams with assembly, then
+  // runs the Borůvka recovery fan-out; the session (and its pool) is gone
+  // before the CONGEST workers are forked below.
+  IngestOptions coordinated;
+  coordinated.mode = IngestMode::kCoordinated;
+  coordinated.sketch = opt;
+  coordinated.workers = raw;
+  coordinated.coordinator.threads = 4;
+  const SparsifyResult remote = [&] {
+    GraphSession session(n, k, coordinated);
+    SparsifyResult r = session.query();
+    session.close();
+    return r;
+  }();
   std::printf("coordinator: assembled %d-vertex bank from %d chunk streams, %d forest(s), "
               "%d copies used\n",
               n, workers, static_cast<int>(remote.forests.size()), remote.copies_used);
@@ -154,15 +164,16 @@ int main(int argc, char** argv) {
 
   // The acceptance bar: the multi-process flow must equal single-process
   // sharded ingestion (and therefore sequential ingestion) edge for edge.
-  ShardOptions sh;
-  sh.shards = workers;
-  const SparsifyResult local = sharded_sparsify_stream(stream, k, opt, sh);
+  IngestOptions sharded;
+  sharded.mode = IngestMode::kSharded;
+  sharded.sketch = opt;
+  sharded.shard.shards = workers;
+  const SparsifyResult local = ingest(stream, k, sharded);
   bool identical = local.certificate.num_edges() == remote.certificate.num_edges();
   if (identical)
     for (const Edge& e : local.certificate.edges())
       identical = identical && remote.certificate.has_edge(e.u, e.v);
-  std::printf("identical to single-process sharded_sparsify_stream: %s\n",
-              identical ? "yes" : "NO");
+  std::printf("identical to single-process sharded ingest: %s\n", identical ? "yes" : "NO");
 
   // The CONGEST pipeline runs on the sparsifier.
   Network cert_net(remote.certificate);

@@ -20,7 +20,7 @@
 #include "ecss/distributed_kecss.hpp"
 #include "graph/edge_connectivity.hpp"
 #include "graph/generators.hpp"
-#include "sketch/shard.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
 #include "support/rng.hpp"
@@ -72,9 +72,11 @@ int main() {
 
   // Sanity: the distributed flow must equal the in-process sharded flow
   // (and therefore the sequential one) edge for edge.
-  ShardOptions sh;
-  sh.shards = machines;
-  const SparsifyResult local = sharded_sparsify_stream(stream, k, opt, sh);
+  IngestOptions sharded;
+  sharded.mode = IngestMode::kSharded;
+  sharded.sketch = opt;
+  sharded.shard.shards = machines;
+  const SparsifyResult local = ingest(stream, k, sharded);
   bool identical = local.certificate.num_edges() == cert.num_edges();
   if (identical)
     for (const Edge& e : local.certificate.edges())

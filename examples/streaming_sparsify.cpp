@@ -12,7 +12,7 @@
 #include "ecss/distributed_kecss.hpp"
 #include "graph/edge_connectivity.hpp"
 #include "graph/generators.hpp"
-#include "sketch/sketch_connectivity.hpp"
+#include "serve/session.hpp"
 #include "sketch/stream.hpp"
 #include "support/rng.hpp"
 
@@ -36,10 +36,11 @@ int main() {
   //    Adaptive sizing starts from a small bank and grows only on observed
   //    sampler failures; recovery itself fans supernode aggregation out
   //    over 4 threads (bit-identical to 1 thread for this seed).
-  SketchOptions opt;
-  opt.seed = 42;
-  opt.auto_size.enabled = true;
-  const SparsifyResult sp = sparsify_stream(stream, k, opt, {.threads = 4});
+  IngestOptions opt;
+  opt.sketch.seed = 42;
+  opt.sketch.auto_size.enabled = true;
+  opt.recovery.threads = 4;
+  const SparsifyResult sp = ingest(stream, k, opt);
   std::printf("certificate: %d edges (bound k(n-1) = %d), %d sketch copies used\n",
               sp.certificate.num_edges(), k * (n - 1), sp.copies_used);
   std::printf("auto-sizing: %d attempt(s), settled on columns=%d rounds_slack=%d "

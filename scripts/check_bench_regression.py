@@ -124,7 +124,7 @@ GATES = {
     # frontier-sparse reduction (fixed-format bytes over wire bytes, one
     # run). Wall time per round is host-dependent and never gated.
     "f16_round_wire": {
-        "key": ("workload", "threads"),
+        "key": ("workload",),
         "metrics": ("wire_bytes",),
         "exact": ("rounds", "messages"),
     },

@@ -18,7 +18,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 
 namespace deck {
 
@@ -62,7 +61,7 @@ struct NetEngineMetrics {
   }
 };
 
-/// Cap on per-round trace spans per execution (matches the local engines).
+/// Cap on per-round trace spans per execution (matches the seq engine).
 constexpr int kNetMaxRoundSpans = 64;
 
 void put_head(std::vector<std::uint8_t>& out, CongestMsg type) {
@@ -810,20 +809,11 @@ struct WorkerGraph {
 struct WorkerState {
   WorkerLink link;
   WorkerOptions opts;
-  std::unique_ptr<ThreadPool> owned_pool;  // pool×net stepping when threads > 0
-  RoundCodecs codecs;                      // round-frame codecs, reset per Start
-  int round_frames = 0;                    // kill_after_rounds clock
+  RoundCodecs codecs;    // round-frame codecs, reset per Start
+  int round_frames = 0;  // kill_after_rounds clock
 
   WorkerState(Transport& transport, const WorkerOptions& options)
-      : link(transport), opts(options) {
-    if (options.pool == nullptr && options.threads > 0)
-      owned_pool = std::make_unique<ThreadPool>(options.threads);
-  }
-
-  /// The stepping pool: a caller-shared one wins over an owned one.
-  ThreadPool* step_pool() const {
-    return opts.pool != nullptr ? opts.pool : owned_pool.get();
-  }
+      : link(transport), opts(options) {}
 
   /// Ships one protocol frame, timing the block into send_thread_wait_ns.
   void send(const std::vector<std::uint8_t>& frame) {
@@ -906,8 +896,7 @@ struct WorkerUnit {
 /// deliveries round by round — discarding the re-derived sends, which the
 /// dead owner already routed. Returns the unit plus the next round it is
 /// ready to run. Malformed frames and checkpoints fail typed.
-std::pair<WorkerUnit, int> build_restored_unit(WorkerState& st, WorkerGraph& wg,
-                                               net::WireReader& r) {
+std::pair<WorkerUnit, int> build_restored_unit(WorkerGraph& wg, net::WireReader& r) {
   const std::uint32_t program_id = r.u32();
   const auto lo = static_cast<VertexId>(r.u32());
   const auto hi = static_cast<VertexId>(r.u32());
@@ -942,7 +931,7 @@ std::pair<WorkerUnit, int> build_restored_unit(WorkerState& st, WorkerGraph& wg,
   u.lo = lo;
   u.hi = hi;
   u.prog = decode_congest_program(program_id, r.rest());
-  u.runner = std::make_unique<BspRunner>(wg.g, lo, hi, st.step_pool());
+  u.runner = std::make_unique<BspRunner>(wg.g, lo, hi);
   int next = 1;
   if (cp_present != 0) {
     u.prog->setup(wg.g);
@@ -996,7 +985,7 @@ void run_program(WorkerState& st, std::uint32_t graph_id, WorkerGraph& wg,
     u.lo = range.lo;
     u.hi = range.hi;
     u.prog = decode_congest_program(program_id, spec);
-    u.runner = std::make_unique<BspRunner>(wg.g, u.lo, u.hi, st.step_pool());
+    u.runner = std::make_unique<BspRunner>(wg.g, u.lo, u.hi);
     u.runner->start(*u.prog);
     units.push_back(std::move(u));
   }
@@ -1125,7 +1114,7 @@ void run_program(WorkerState& st, std::uint32_t graph_id, WorkerGraph& wg,
             throw NetError("congest: finish-mode Restore arrived mid-phase");
           if (r.u32() != graph_id)
             throw NetError("congest: mid-phase Restore names a different graph");
-          auto [unit, next] = build_restored_unit(st, wg, r);
+          auto [unit, next] = build_restored_unit(wg, r);
           if (next != round)
             throw NetError("congest: Restore replay does not reach the current round");
           std::vector<WirePacket> adopted_boundary;
@@ -1202,7 +1191,7 @@ void run_congest_worker(Transport& coordinator, const WorkerOptions& options) {
         const auto it = graphs.find(id);
         if (it == graphs.end())
           throw NetError("congest: Restore names unknown graph id " + std::to_string(id));
-        auto [unit, final_round] = build_restored_unit(st, it->second, r);
+        auto [unit, final_round] = build_restored_unit(it->second, r);
         std::vector<WirePacket> discard;
         if (unit.runner->run_round(final_round, &discard) != 0)
           throw NetError("congest: restored range was not quiescent at the phase end");

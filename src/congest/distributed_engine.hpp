@@ -20,28 +20,24 @@
 //   Outputs{range}      ─────────────►    program absorbs per-range outputs
 //                       ◄─────────────    DropGraph / Shutdown
 //
-// Every worker steps its owned contiguous vertex ranges with the same
-// BspRunner the local engines use, so schedules, mailbox ordering, and
-// therefore program outputs and round/message counters are bit-identical to
-// SequentialEngine for any worker count. The coordinator counts a round
-// whenever any worker sent (locally or across), exactly like the local
-// engines count non-silent rounds.
+// Every worker steps its owned contiguous vertex ranges, single-threaded,
+// with the same BspRunner the seq engine uses, so schedules, mailbox
+// ordering, and therefore program outputs and round/message counters are
+// bit-identical to seq for any worker count. The coordinator counts a round
+// whenever any worker sent (locally or across), exactly like seq counts
+// non-silent rounds.
 //
 // Round path (protocol v5): one synchronous loop per worker — step the
 // owned ranges, ship RoundDone, block for the coordinator's verdict.
-//   * Delta round frames — kRoundDone/kRound pack flags and a 16-bit round
-//     stamp into the head word and carry boundary messages in the
-//     congest/delta_codec format: varint slot gaps plus repeat markers
-//     against a per-link payload cache, with a per-frame fallback to the
-//     fixed packet format whenever the delta body would be larger.
-//     Checkpoint and Restore frames stay in the fixed packet format —
-//     failover replay must decode without any link cache (the adopting
-//     survivor never saw the dead link's frames).
-//   * Pool×net — WorkerOptions::threads (or a borrowed WorkerOptions::pool)
-//     steps each worker's active list on a support/ThreadPool with the same
-//     unique-writer mailboxes the pool engine uses.
-// Both are transparent to outputs and to the solver-visible rounds/messages
-// counters, for every worker count, thread count, and kill schedule.
+// kRoundDone/kRound frames pack flags and a 16-bit round stamp into the
+// head word and carry boundary messages in the congest/delta_codec format:
+// varint slot gaps plus repeat markers against a per-link payload cache,
+// with a per-frame fallback to the fixed packet format whenever the delta
+// body would be larger. Checkpoint and Restore frames stay in the fixed
+// packet format — failover replay must decode without any link cache (the
+// adopting survivor never saw the dead link's frames). The codec is
+// transparent to outputs and to the solver-visible rounds/messages
+// counters, for every worker count and kill schedule.
 //
 // Versions do not interoperate (see kCongestProtoVersion): an older peer is
 // rejected at Hello with a version-skew error.
@@ -174,22 +170,12 @@ class DistributedEngineHub final : public EngineHub {
   bool down_ = false;
 };
 
-/// Convenience factory mirroring EngineHub::sequential()/parallel().
+/// Convenience factory mirroring EngineHub::sequential().
 std::shared_ptr<DistributedEngineHub> make_distributed_hub(std::vector<Transport*> workers,
                                                            DistributedHubOptions options = {});
 
 /// Worker-side behavior knobs.
 struct WorkerOptions {
-  /// > 0: step owned ranges on a worker-owned ThreadPool of this many
-  /// threads — the pool×net composition. 0 = single-threaded stepping.
-  /// Identity is unconditional either way (BspRunner's contract).
-  int threads = 0;
-
-  /// Borrow a caller-owned pool instead (shared with sketch recovery, other
-  /// fleet workers, ...). Takes precedence over `threads`; must outlive the
-  /// worker.
-  ThreadPool* pool = nullptr;
-
   /// > 0: send a Heartbeat frame every N ms from a background thread, so a
   /// coordinator running recv deadlines can tell slow from dead.
   int heartbeat_ms = 0;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 
 namespace deck {
 
@@ -34,22 +31,15 @@ constexpr std::int32_t kRefillStamp = std::int32_t{1} << 30;
 constexpr std::size_t kDenseScanRatio = 16;
 
 /// Marks v awake, recording it in `woken` only on the flag's 0 -> 1 edge.
-/// `shared` when other threads may wake the same vertex concurrently.
-void wake_once(std::atomic<std::uint8_t>& flag, bool shared, std::vector<VertexId>& woken,
-               VertexId v) {
-  if (flag.load(std::memory_order_relaxed) != 0) return;
-  if (shared) {
-    if (flag.exchange(1, std::memory_order_relaxed) != 0) return;
-  } else {
-    flag.store(1, std::memory_order_relaxed);
-  }
+void wake_once(std::uint8_t& flag, std::vector<VertexId>& woken, VertexId v) {
+  if (flag != 0) return;
+  flag = 1;
   woken.push_back(v);
 }
 
 }  // namespace
 
-BspRunner::BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool)
-    : g_(&g), lo_(lo), hi_(hi), pool_(pool) {
+BspRunner::BspRunner(const Graph& g, VertexId lo, VertexId hi) : g_(&g), lo_(lo), hi_(hi) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
   const auto slots = 2 * static_cast<std::size_t>(g.num_edges());
   DECK_CHECK_MSG(slots < static_cast<std::size_t>(kRefillStamp),
@@ -69,8 +59,7 @@ BspRunner::BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool)
     box_[p].resize(slots);
     stamp_[p].assign(slots, high_);  // below every stamp an execution reads
   }
-  awake_ = std::make_unique<std::atomic<std::uint8_t>[]>(n);
-  for (std::size_t v = 0; v < n; ++v) awake_[v].store(0, std::memory_order_relaxed);
+  awake_.assign(n, 0);
 }
 
 void BspRunner::start(VertexProgram& prog) {
@@ -80,18 +69,9 @@ void BspRunner::start(VertexProgram& prog) {
 }
 
 void BspRunner::attach(VertexProgram& prog) {
-  // Retire the previous execution, however it ended: a silent last round can
-  // leave stay_awake() flags behind, and a throwing pool round can leave
-  // flags that no wake list records.
-  const auto clear_flag = [this](VertexId v) {
-    awake_[static_cast<std::size_t>(v)].store(0, std::memory_order_relaxed);
-  };
-  if (woken_exact_) {
-    for (const VertexId v : woken_) clear_flag(v);
-  } else {
-    for (VertexId v = lo_; v < hi_; ++v) clear_flag(v);
-    woken_exact_ = true;
-  }
+  // Retire the previous execution, however it ended: a silent last round or a
+  // throwing step can leave flags behind, and woken_ records each of them.
+  for (const VertexId v : woken_) awake_[static_cast<std::size_t>(v)] = 0;
   woken_.clear();
   if (high_ >= kRefillStamp) {
     high_ = -1;
@@ -101,9 +81,7 @@ void BspRunner::attach(VertexProgram& prog) {
   prog_ = &prog;
 }
 
-void BspRunner::wake(VertexId v) {
-  wake_once(awake_[static_cast<std::size_t>(v)], false, woken_, v);
-}
+void BspRunner::wake(VertexId v) { wake_once(awake_[static_cast<std::size_t>(v)], woken_, v); }
 
 void BspRunner::activate_initial() {
   DECK_CHECK(prog_ != nullptr);
@@ -158,26 +136,22 @@ void BspRunner::restore_resume(int round, std::span<const VertexId> awake,
   }
 }
 
-/// Outbox of one stepping span for one round, rebound to each stepping
-/// vertex. Writes go straight into the runner's mailboxes: each directed
-/// edge has a unique sending vertex, so concurrent spans never touch the
-/// same position.
+/// Outbox of one round, rebound to each stepping vertex. Writes go straight
+/// into the runner's mailboxes and wake list.
 class BspRunner::RoundOutbox final : public Outbox {
  public:
-  RoundOutbox(BspRunner& r, int round, std::vector<VertexId>& woken,
-              std::vector<RemoteSend>* remote, std::mutex* shared_mu)
+  RoundOutbox(BspRunner& r, int round, std::vector<RemoteSend>* remote)
       : edges_(r.g_->edges().data()),
         num_edges_(r.g_->num_edges()),
         in_pos_(r.in_pos_.data()),
-        awake_(r.awake_.get()),
+        awake_(r.awake_.data()),
         lo_(r.lo_),
         hi_(r.hi_),
         sent_at_(r.base_ + round),
         box_(r.box_[round & 1].data()),
         stamp_(r.stamp_[round & 1].data()),
-        woken_(&woken),
-        remote_(remote),
-        shared_mu_(shared_mu) {}
+        woken_(&r.woken_),
+        remote_(remote) {}
 
   void bind(VertexId self) { self_ = self; }
 
@@ -194,19 +168,14 @@ class BspRunner::RoundOutbox final : public Outbox {
     ++sent_;
     if (to >= lo_ && to < hi_) {
       box_[p] = msg;
-      wake_once(awake_[to], shared_mu_ != nullptr, *woken_, to);
+      wake_once(awake_[to], *woken_, to);
     } else {
       DECK_CHECK_MSG(remote_ != nullptr, "congest engine: send leaves the owned vertex range");
-      if (shared_mu_ != nullptr) {
-        std::lock_guard<std::mutex> lock(*shared_mu_);
-        remote_->push_back({e, dir, msg});
-      } else {
-        remote_->push_back({e, dir, msg});
-      }
+      remote_->push_back({e, dir, msg});
     }
   }
 
-  void stay_awake() override { wake_once(awake_[self_], shared_mu_ != nullptr, *woken_, self_); }
+  void stay_awake() override { wake_once(awake_[self_], *woken_, self_); }
 
   std::uint64_t sent() const { return sent_; }
 
@@ -214,7 +183,7 @@ class BspRunner::RoundOutbox final : public Outbox {
   const Edge* edges_;
   EdgeId num_edges_;
   const std::int32_t* in_pos_;
-  std::atomic<std::uint8_t>* awake_;
+  std::uint8_t* awake_;
   VertexId lo_, hi_;
   VertexId self_ = kNoVertex;
   std::int32_t sent_at_;
@@ -222,50 +191,29 @@ class BspRunner::RoundOutbox final : public Outbox {
   std::int32_t* stamp_;
   std::vector<VertexId>* woken_;
   std::vector<RemoteSend>* remote_;
-  std::mutex* shared_mu_;  // null when this span is the round's only stepper
   std::uint64_t sent_ = 0;
 };
 
 void BspRunner::collect_candidates() {
   // Everything woken since the last round (sends, stay_awake, boundary
-  // deliveries; starts_active for round 1), each vertex once. Spans append
-  // in nondeterministic order; both branches yield the ascending schedule.
-  // A crowded round scans the flags instead of sorting the list.
+  // deliveries; starts_active for round 1), each vertex once, in wake order;
+  // both branches yield the ascending schedule. A crowded round scans the
+  // flags instead of sorting the list.
   active_.clear();
   if (woken_.size() * kDenseScanRatio >= static_cast<std::size_t>(hi_ - lo_)) {
     for (VertexId v = lo_; v < hi_; ++v) {
-      auto& flag = awake_[static_cast<std::size_t>(v)];
-      if (flag.load(std::memory_order_relaxed) != 0) {
-        flag.store(0, std::memory_order_relaxed);
+      std::uint8_t& flag = awake_[static_cast<std::size_t>(v)];
+      if (flag != 0) {
+        flag = 0;
         active_.push_back(v);
       }
     }
   } else {
     std::sort(woken_.begin(), woken_.end());
-    for (const VertexId v : woken_)
-      awake_[static_cast<std::size_t>(v)].store(0, std::memory_order_relaxed);
+    for (const VertexId v : woken_) awake_[static_cast<std::size_t>(v)] = 0;
     active_.swap(woken_);
   }
   woken_.clear();
-}
-
-std::uint64_t BspRunner::step_span(std::size_t begin, std::size_t end, int round,
-                                   std::vector<Delivery>& inbox, RoundOutbox& out) {
-  const int rp = (round & 1) ^ 1;  // sent last round, read now
-  const std::int32_t live = base_ + round - 1;
-  const std::int32_t* stamps = stamp_[rp].data();
-  const Packet* boxes = box_[rp].data();
-  for (std::size_t i = begin; i < end; ++i) {
-    const VertexId v = active_[i];
-    const std::span<const Adj> nbrs = g_->neighbors(v);
-    const auto first = static_cast<std::size_t>(off_[static_cast<std::size_t>(v)]);
-    inbox.clear();
-    for (std::size_t j = 0; j < nbrs.size(); ++j)
-      if (stamps[first + j] == live) inbox.push_back({nbrs[j].to, nbrs[j].edge, boxes[first + j]});
-    out.bind(v);
-    prog_->step(v, round, inbox, out);
-  }
-  return out.sent();
 }
 
 std::uint64_t BspRunner::run_round(int round, std::vector<RemoteSend>* remote_out) {
@@ -276,23 +224,22 @@ std::uint64_t BspRunner::run_round(int round, std::vector<RemoteSend>* remote_ou
   collect_candidates();
   if (active_.empty()) return 0;
 
-  if (pool_ == nullptr) {
-    RoundOutbox out(*this, round, woken_, remote_out, nullptr);
-    return step_span(0, active_.size(), round, inbox_, out);
+  const int rp = (round & 1) ^ 1;  // sent last round, read now
+  const std::int32_t live = base_ + round - 1;
+  const std::int32_t* stamps = stamp_[rp].data();
+  const Packet* boxes = box_[rp].data();
+  RoundOutbox out(*this, round, remote_out);
+  for (const VertexId v : active_) {
+    const std::span<const Adj> nbrs = g_->neighbors(v);
+    const auto first = static_cast<std::size_t>(off_[static_cast<std::size_t>(v)]);
+    inbox_.clear();
+    for (std::size_t j = 0; j < nbrs.size(); ++j)
+      if (stamps[first + j] == live)
+        inbox_.push_back({nbrs[j].to, nbrs[j].edge, boxes[first + j]});
+    out.bind(v);
+    prog_->step(v, round, inbox_, out);
   }
-  std::mutex shared_mu;
-  std::atomic<std::uint64_t> sent_total{0};
-  woken_exact_ = false;
-  pool_->for_range(active_.size(), [&](std::size_t begin, std::size_t end) {
-    std::vector<Delivery> inbox;
-    std::vector<VertexId> woken_here;
-    RoundOutbox out(*this, round, woken_here, remote_out, &shared_mu);
-    sent_total.fetch_add(step_span(begin, end, round, inbox, out), std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(shared_mu);
-    woken_.insert(woken_.end(), woken_here.begin(), woken_here.end());
-  });
-  woken_exact_ = true;
-  return sent_total.load(std::memory_order_relaxed);
+  return out.sent();
 }
 
 void BspRunner::deliver_remote(int round, EdgeId e, std::uint8_t dir, const Packet& msg) {
@@ -321,11 +268,11 @@ void BspRunner::finish() {
 
 namespace {
 
-/// Model-cost counters shared by every engine backend.
+/// Model-cost counters of the seq engine (the net engine keeps its own).
 struct EngineMetrics {
   obs::Counter& rounds = obs::Registry::global().counter("congest.rounds");
   obs::Counter& messages = obs::Registry::global().counter("congest.messages");
-  // Runner reuse: one build per local engine, however many executions.
+  // Runner reuse: one build per seq engine, however many executions.
   obs::Counter& executions = obs::Registry::global().counter("congest.executions");
   obs::Counter& runner_builds = obs::Registry::global().counter("congest.runner_builds");
 
@@ -339,21 +286,19 @@ struct EngineMetrics {
 /// graph) would otherwise dominate the trace with thousands of slivers.
 constexpr int kMaxRoundSpans = 64;
 
-/// In-process execution over the full vertex range: sequential when `pool`
-/// is null, partitioned over the pool otherwise. Identical schedules either
-/// way — the pool only splits the deterministic active list. One runner,
-/// built on the first execution, serves every later one on this graph.
-class LocalEngine : public Engine {
+/// The seq engine: single-threaded execution over the full vertex range.
+/// One runner, built on the first execution, serves every later one on this
+/// graph.
+class SeqEngine : public Engine {
  public:
-  LocalEngine(const Graph& g, ThreadPool* pool, std::string name)
-      : g_(&g), pool_(pool), name_(std::move(name)), span_name_(name_ + ".execute") {}
+  explicit SeqEngine(const Graph& g) : g_(&g) {}
 
-  std::string name() const override { return name_; }
+  std::string name() const override { return "seq"; }
 
   ExecStats execute(VertexProgram& prog) override {
-    obs::Span exec_span(span_name_.c_str());
+    obs::Span exec_span("seq.execute");
     if (runner_ == nullptr) {
-      runner_ = std::make_unique<detail::BspRunner>(*g_, 0, g_->num_vertices(), pool_);
+      runner_ = std::make_unique<detail::BspRunner>(*g_, 0, g_->num_vertices());
       if (obs::enabled()) EngineMetrics::get().runner_builds.inc();
     }
     if (obs::enabled()) EngineMetrics::get().executions.inc();
@@ -386,9 +331,6 @@ class LocalEngine : public Engine {
 
  private:
   const Graph* g_;
-  ThreadPool* pool_;
-  std::string name_;
-  std::string span_name_;
   std::unique_ptr<detail::BspRunner> runner_;
 };
 
@@ -396,39 +338,12 @@ class SequentialHub final : public EngineHub {
  public:
   std::string name() const override { return "seq"; }
   std::unique_ptr<Engine> engine_for(const Graph& g) override {
-    return std::make_unique<LocalEngine>(g, nullptr, "seq");
+    return std::make_unique<SeqEngine>(g);
   }
-};
-
-class ParallelHub final : public EngineHub {
- public:
-  explicit ParallelHub(int threads) : owned_(std::make_unique<ThreadPool>(threads)) {}
-  explicit ParallelHub(ThreadPool* pool) : borrowed_(pool) {
-    DECK_CHECK_MSG(pool != nullptr, "parallel engine hub needs a pool");
-  }
-
-  std::string name() const override { return "pool"; }
-  std::unique_ptr<Engine> engine_for(const Graph& g) override {
-    return std::make_unique<LocalEngine>(g, pool(), "pool");
-  }
-
- private:
-  ThreadPool* pool() const { return borrowed_ != nullptr ? borrowed_ : owned_.get(); }
-
-  std::unique_ptr<ThreadPool> owned_;
-  ThreadPool* borrowed_ = nullptr;
 };
 
 }  // namespace
 
 std::shared_ptr<EngineHub> EngineHub::sequential() { return std::make_shared<SequentialHub>(); }
-
-std::shared_ptr<EngineHub> EngineHub::parallel(int threads) {
-  return std::make_shared<ParallelHub>(threads);
-}
-
-std::shared_ptr<EngineHub> EngineHub::parallel(ThreadPool* pool) {
-  return std::make_shared<ParallelHub>(pool);
-}
 
 }  // namespace deck

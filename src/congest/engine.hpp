@@ -15,10 +15,8 @@
 // carries at most one packet per round, and step(v) may only touch v's own
 // state. Under that contract every backend produces bit-identical program
 // outputs and counters:
-//   * SequentialEngine  — single-threaded reference execution.
-//   * ParallelEngine    — vertices partitioned over a shared
-//     support/ThreadPool with a barrier per round; per-directed-edge
-//     mailboxes have a unique writer, so no thread count changes anything.
+//   * seq               — single-threaded in-process execution, the
+//     reference every other backend is checked against.
 //   * DistributedEngine — vertex ranges owned by worker processes over
 //     src/net/Transport (see congest/distributed_engine.hpp).
 //
@@ -27,7 +25,6 @@
 // forcing) create their engines through the parent Network's hub, so one
 // `--engine` choice rides through every layer.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -37,8 +34,6 @@
 #include "graph/graph.hpp"
 
 namespace deck {
-
-class ThreadPool;
 
 /// One CONGEST message in flight: an O(log n)-bit word triple plus a small
 /// program-defined tag (flood / item / end-of-stream ...).
@@ -77,10 +72,10 @@ class Outbox {
 
 /// A synchronous per-vertex message-passing program. State lives inside the
 /// program object as per-vertex slots; step(v) may read shared immutable
-/// inputs but write only v's slots (the parallel backend steps vertices
-/// concurrently). Programs must be send-continuous: once no vertex sends in
-/// a round, none may ever send again — the engine treats the first silent
-/// round as termination.
+/// inputs but write only v's slots (the net backend keeps each vertex's slots
+/// on the one worker that owns it). Programs must be send-continuous: once
+/// no vertex sends in a round, none may ever send again — the engine treats
+/// the first silent round as termination.
 class VertexProgram {
  public:
   virtual ~VertexProgram() = default;
@@ -141,7 +136,7 @@ class Engine {
  public:
   virtual ~Engine() = default;
 
-  /// Backend name: "seq", "pool", or "net".
+  /// Backend name: "seq" or "net".
   virtual std::string name() const = 0;
 
   /// Runs `prog` to quiescence; program outputs are left inside `prog`.
@@ -160,20 +155,13 @@ class EngineHub {
 
   /// Single-threaded exact simulation (the default everywhere).
   static std::shared_ptr<EngineHub> sequential();
-
-  /// Vertices partitioned over a pool the hub owns (`threads` workers).
-  static std::shared_ptr<EngineHub> parallel(int threads);
-
-  /// Same, borrowing a caller-owned pool (shared with sketch recovery etc.).
-  /// The pool must outlive the hub.
-  static std::shared_ptr<EngineHub> parallel(ThreadPool* pool);
 };
 
 namespace detail {
 
 /// Shared BSP execution core: steps the owned vertex range [lo, hi) of one
-/// graph round by round. Local engines own the whole range and keep one
-/// runner for every execution on their graph; the distributed worker owns a
+/// graph round by round. The seq engine owns the whole range and keeps one
+/// runner for every execution on its graph; the distributed worker owns a
 /// slice and exchanges boundary messages through the hooks below.
 ///
 /// Mailboxes are receiver-contiguous: position off_[v] + i holds what
@@ -188,10 +176,9 @@ namespace detail {
 ///
 /// Wakes are deduplicated at the source: only a flag going 0 -> 1 records
 /// the vertex. Each round's schedule is the ascending list of woken ids —
-/// the same for every backend and thread count — built by sorting the
+/// the same for every backend and worker count — built by sorting the
 /// distinct ids, or by one pass over the flags when a large share of the
-/// range woke. The sequential path steps with member scratch (no heap work
-/// per round); the pool path gives each chunk its own inbox and wake list.
+/// range woke. Stepping uses member scratch: no heap work per round.
 class BspRunner {
  public:
   /// A send whose receiving endpoint lies outside the owned range.
@@ -203,7 +190,7 @@ class BspRunner {
     friend bool operator==(const RemoteSend&, const RemoteSend&) = default;
   };
 
-  BspRunner(const Graph& g, VertexId lo, VertexId hi, ThreadPool* pool);
+  BspRunner(const Graph& g, VertexId lo, VertexId hi);
 
   /// Binds the program: setup() plus the round-1 active set.
   void start(VertexProgram& prog);
@@ -250,7 +237,6 @@ class BspRunner {
 
   const Graph* g_;
   VertexId lo_, hi_;
-  ThreadPool* pool_;
   VertexProgram* prog_ = nullptr;
 
   // Receiver-contiguous mailbox layout (see the class comment).
@@ -265,24 +251,18 @@ class BspRunner {
   std::int32_t high_ = -1;
 
   // awake_[v] != 0: v steps next round, and then v is in woken_ exactly
-  // once. Only a pool round that throws breaks that (a chunk's wake list is
-  // lost): woken_exact_ is false from the pool dispatch until it returns.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> awake_;
+  // once.
+  std::vector<std::uint8_t> awake_;
   std::vector<VertexId> woken_;
-  bool woken_exact_ = true;
   std::vector<VertexId> active_;
-  std::vector<Delivery> inbox_;  // sequential stepping scratch
+  std::vector<Delivery> inbox_;  // stepping scratch
 
-  /// Single-threaded wake (round-1 set, restores, boundary deliveries).
+  /// Marks v awake, recording it in woken_ only on the flag's 0 -> 1 edge.
   void wake(VertexId v);
 
   /// Moves this round's schedule out of woken_ into active_ (ascending,
   /// flags cleared).
   void collect_candidates();
-
-  /// Steps active_[begin, end) with the given inbox scratch; returns sends.
-  std::uint64_t step_span(std::size_t begin, std::size_t end, int round,
-                          std::vector<Delivery>& inbox, RoundOutbox& out);
 };
 
 }  // namespace detail

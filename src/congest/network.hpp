@@ -12,8 +12,7 @@
 // convergecast, pipelined keyed upcast, path downcast, per-edge exchange —
 // see primitives.hpp), each a genuine per-vertex message-passing program
 // executed on a pluggable Engine (engine.hpp): sequential exact simulation,
-// vertices partitioned over a thread pool, or vertex ranges owned by worker
-// processes over src/net/Transport. Phase sequencing between primitives is
+// or vertex ranges owned by worker processes over src/net/Transport. Phase sequencing between primitives is
 // orchestrated by the algorithm driver (free, like local computation), but
 // data only ever moves along edges inside primitive executions, so round and
 // message counts equal those of a real execution — and are bit-identical
@@ -38,8 +37,8 @@ class Network {
   /// every seed call site keeps using unchanged.
   explicit Network(const Graph& g);
 
-  /// Execution backend chosen by the caller: EngineHub::sequential(),
-  /// EngineHub::parallel(...), or make_distributed_hub(...). Algorithms that
+  /// Execution backend chosen by the caller: EngineHub::sequential() or
+  /// make_distributed_hub(...). Algorithms that
   /// build internal sub-Networks construct them with this hub so the choice
   /// rides through every layer.
   Network(const Graph& g, std::shared_ptr<EngineHub> hub);

@@ -9,7 +9,7 @@
 // Network. Callers supply and receive *per-vertex* data only — the
 // discipline is that a vertex's outputs depend solely on its inputs and the
 // messages it received — and results plus counters are bit-identical across
-// the sequential, thread-pool, and Transport-backed backends.
+// the sequential and Transport-backed backends.
 //
 // The workhorse is the pipelined keyed-min upcast: every vertex holds
 // (key, value) items; merged min-per-key streams flow towards the root in

@@ -12,7 +12,7 @@
 //
 // Program-object discipline: inputs are set on construction (or decoded from
 // a spec), outputs are materialized by finish_range() on whichever executor
-// owns the vertices (local engines own all of them; distributed workers own
+// owns the vertices (the seq engine owns all of them; distributed workers own
 // a slice and ship encode_outputs(), which decode_outputs() absorbs on the
 // coordinator). After Engine::execute returns, outputs are complete either
 // way.

@@ -1,8 +1,8 @@
 #pragma once
 
 // Process-wide metrics registry: counters, gauges, and fixed-bucket
-// histograms, designed so the pool engine and the shared ThreadPool can hit
-// the hot hooks from every worker thread without contention.
+// histograms, designed so the shared ThreadPool and the net engine's worker
+// threads can hit the hot hooks from every thread without contention.
 //
 // Write path: each metric keeps kStripes cache-line-sized cells; a thread
 // is assigned a stripe once (round-robin on first use) and all its updates

@@ -22,17 +22,15 @@
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "tap/distributed_tap.hpp"
 #include "tap/tap_instance.hpp"
 
 namespace deck {
 namespace {
 
-// The engine-identity property: every backend — sequential, thread-pool for
-// any thread count, Transport-backed for any worker count — produces
-// bit-identical algorithm outputs and identical round/message counters,
-// phase by phase.
+// The engine-identity property: both backends — sequential, and
+// Transport-backed for any worker count — produce bit-identical algorithm
+// outputs and identical round/message counters, phase by phase.
 
 struct RunRecord {
   std::vector<EdgeId> edges;
@@ -60,21 +58,11 @@ void expect_engine_identity(const Graph& g, Algo&& algo, const char* what) {
     base = record(net, algo(net));
     EXPECT_EQ(net.hub()->name(), "seq");
   }
-  for (int threads : {1, 2, 4, 8}) {
-    Network net(g, EngineHub::parallel(threads));
-    const RunRecord got = record(net, algo(net));
-    EXPECT_EQ(got, base) << what << ": pool engine with " << threads << " threads diverged";
-  }
   for (int workers : {1, 2, 4}) {
-    for (int threads : {0, 2}) {  // single-threaded and pool×net stepping
-      FleetOptions fo;
-      fo.worker.threads = threads;
-      CongestWorkerFleet fleet(workers, fo);
-      Network net(g, fleet.hub());
-      const RunRecord got = record(net, algo(net));
-      EXPECT_EQ(got, base) << what << ": net engine with " << workers << " workers, "
-                           << threads << " threads diverged";
-    }
+    CongestWorkerFleet fleet(workers);
+    Network net(g, fleet.hub());
+    const RunRecord got = record(net, algo(net));
+    EXPECT_EQ(got, base) << what << ": net engine with " << workers << " workers diverged";
   }
 }
 
@@ -213,58 +201,20 @@ TEST(EngineIdentity, PrimitivesBitIdenticalAcrossBackends) {
 }
 
 TEST(EngineIdentity, NetHotPathConfigMatrixBitIdentical) {
-  // The worker-threads × workers matrix on the 2-ECSS pipeline: every net
-  // engine config must reproduce the sequential run bit for bit, counters
-  // included.
-  const Graph g = weighted_graph(32, 2, 9010);
-  const auto algo = [](Network& net) {
-    const Ecss2Result r = distributed_2ecss(net, TapOptions{});
-    return r.edges;
-  };
-  RunRecord base;
-  {
-    Network net(g);
-    base = record(net, algo(net));
-  }
-  for (const int threads : {1, 2, 4})
-    for (const int workers : {1, 2, 4}) {
-      FleetOptions fo;
-      fo.worker.threads = threads;
-      CongestWorkerFleet fleet(workers, fo);
-      Network net(g, fleet.hub());
-      const RunRecord got = record(net, algo(net));
-      EXPECT_EQ(got, base) << "2-ecss: net engine diverged at threads=" << threads
-                           << " workers=" << workers;
-    }
-}
-
-TEST(EngineIdentity, NetWorkersShareACallerOwnedPool) {
-  // WorkerOptions::pool: every fleet worker steps on one caller-owned
-  // ThreadPool — pool×net composition without per-worker pools.
-  const Graph g = weighted_graph(40, 2, 9011);
-  const auto algo = [](Network& net) {
-    const RootedTree t = distributed_bfs(net, 0);
-    MstResult mst = distributed_mst(net, t);
-    return mst.mst_edges;
-  };
-  RunRecord base;
-  {
-    Network net(g);
-    base = record(net, algo(net));
-  }
-  ThreadPool pool(3);
-  FleetOptions fo;
-  fo.worker.pool = &pool;
-  CongestWorkerFleet fleet(3, fo);
-  {
-    Network net(g, fleet.hub());
-    EXPECT_EQ(record(net, algo(net)), base);
-  }
+  // The workers matrix on a second 2-ECSS graph: every net engine config
+  // must reproduce the sequential run bit for bit, counters included.
+  expect_engine_identity(
+      weighted_graph(32, 2, 9010),
+      [](Network& net) {
+        const Ecss2Result r = distributed_2ecss(net, TapOptions{});
+        return r.edges;
+      },
+      "2-ecss");
 }
 
 // ---------------------------------------------------------------------------
-// Outbox contract: every misuse of Outbox::send is a std::logic_error, on the
-// sequential and the pooled runner alike — never an out-of-bounds access.
+// Outbox contract: every misuse of Outbox::send is a std::logic_error — never
+// an out-of-bounds access.
 
 enum class Misuse { kTwiceOnOneEdge, kNonIncidentEdge, kEdgeMinusOne, kEdgePastEnd };
 
@@ -312,7 +262,7 @@ Graph cycle_graph(int n) {
   return g;
 }
 
-TEST(EngineContract, OutboxMisuseThrowsOnSeqAndPool) {
+TEST(EngineContract, OutboxMisuseThrowsOnSeq) {
   const Graph g = cycle_graph(12);
   const std::pair<Misuse, const char*> misuses[] = {
       {Misuse::kTwiceOnOneEdge, "twice on one directed edge"},
@@ -321,12 +271,9 @@ TEST(EngineContract, OutboxMisuseThrowsOnSeqAndPool) {
       {Misuse::kEdgePastEnd, "edge id m"},
   };
   for (const auto& [misuse, what] : misuses) {
-    for (const int threads : {0, 4}) {
-      Network net(g, threads == 0 ? EngineHub::sequential() : EngineHub::parallel(threads));
-      MisusingProgram prog(misuse);
-      EXPECT_THROW((void)net.engine().execute(prog), std::logic_error)
-          << what << " on " << net.hub()->name();
-    }
+    Network net(g);
+    MisusingProgram prog(misuse);
+    EXPECT_THROW((void)net.engine().execute(prog), std::logic_error) << what;
   }
 }
 
@@ -336,9 +283,9 @@ TEST(EngineContract, OutboxMisuseThrowsOnSeqAndPool) {
 // next execution.
 
 /// Round 1: every vertex sends over all its edges, leaving live mailboxes.
-/// Round 2: every vertex stays awake and then throws, so each stepping span
-/// stops after its first vertex — vertex 0 included, whose flag the next
-/// execution's BFS root must still be able to raise.
+/// Round 2: every vertex stays awake and then throws, so the round stops
+/// after its first vertex — vertex 0, whose flag the next execution's BFS
+/// root must still be able to raise.
 class ThrowingProgram final : public VertexProgram {
  public:
   std::uint32_t program_id() const override { return 0xffff0002u; }
@@ -365,23 +312,18 @@ class ThrowingProgram final : public VertexProgram {
 TEST(EngineReuse, ThrowingExecutionLeavesNoTraceOnTheNextOne) {
   const Graph g = weighted_graph(64, 2, 9012);
   const auto algo = [](Network& net) { return distributed_2ecss(net, TapOptions{}).edges; };
-  for (const int threads : {0, 4}) {
-    const auto hub = [threads] {
-      return threads == 0 ? EngineHub::sequential() : EngineHub::parallel(threads);
-    };
-    Network fresh(g, hub());
-    const RunRecord base = record(fresh, algo(fresh));
+  Network fresh(g);
+  const RunRecord base = record(fresh, algo(fresh));
 
-    Network reused(g, hub());
-    ThrowingProgram bad;
-    EXPECT_THROW((void)reused.engine().execute(bad), std::runtime_error);
-    const std::uint64_t rounds_before = reused.rounds();
-    const std::uint64_t messages_before = reused.messages();
-    RunRecord got = record(reused, algo(reused));
-    got.rounds -= rounds_before;
-    got.messages -= messages_before;
-    EXPECT_EQ(got, base) << "execution after a throwing one diverged on " << reused.hub()->name();
-  }
+  Network reused(g);
+  ThrowingProgram bad;
+  EXPECT_THROW((void)reused.engine().execute(bad), std::runtime_error);
+  const std::uint64_t rounds_before = reused.rounds();
+  const std::uint64_t messages_before = reused.messages();
+  RunRecord got = record(reused, algo(reused));
+  got.rounds -= rounds_before;
+  got.messages -= messages_before;
+  EXPECT_EQ(got, base) << "execution after a throwing one diverged";
 }
 
 /// Counts which engines executed, and how often, around an inner hub.
@@ -439,9 +381,9 @@ TEST(EngineReuse, OneRunnerBuildPerNetworkThatExecuted) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden counters. seq, pool and net all step through the same BspRunner, so
-// the identity suites above cannot see a bug the three share; these pin the
-// exact outputs and counters of the reference runs instead.
+// Golden counters. seq and net both step through the same BspRunner, so the
+// identity suites above cannot see a bug the two share; these pin the exact
+// outputs and counters of the reference runs instead.
 
 std::uint64_t edge_digest(const std::vector<EdgeId>& edges) {
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a over the edge ids, in order
@@ -491,26 +433,6 @@ TEST(EngineGolden, KecssCountersMatchTheReference) {
 
 // ---------------------------------------------------------------------------
 // Distributed-engine protocol details and fault paths.
-
-TEST(EngineIdentity, PoolHubBorrowsAnExternalThreadPool) {
-  // EngineHub::parallel(ThreadPool*) shares a caller-owned pool instead of
-  // spawning one — same results, same counters.
-  const Graph g = weighted_graph(32, 2, 9007);
-  const auto algo = [](Network& net) {
-    const RootedTree t = distributed_bfs(net, 0);
-    std::vector<EdgeId> digest;
-    for (VertexId v = 0; v < net.n(); ++v) digest.push_back(t.parent_edge(v));
-    return digest;
-  };
-  RunRecord base;
-  {
-    Network net(g);
-    base = record(net, algo(net));
-  }
-  ThreadPool pool(3);
-  Network net(g, EngineHub::parallel(&pool));
-  EXPECT_EQ(record(net, algo(net)), base);
-}
 
 TEST(DistributedEngine, SubNetworksInheritTheHubAcrossLayers) {
   // k-ECSS builds internal sub-Networks (connector levels); with a worker

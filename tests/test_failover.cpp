@@ -33,15 +33,13 @@
 namespace deck {
 namespace {
 
-// Fault-tolerance property of the net engine (protocol v4): killing any
+// Fault-tolerance property of the net engine (protocol v5): killing any
 // worker at any protocol moment — mid-phase, at a checkpoint boundary, or
 // between quiescence and collect — leaves the algorithm output and the
 // solver-visible round/message counters bit-identical to the sequential
 // engine. Kill points are named by coordinator-side receive frame indices
-// (net/fault.hpp), so every test here is deterministic. The v4 hot path
-// (delta round frames + comm-thread pipelining) is the fleet default, so
-// every sweep below exercises it; the config-matrix sweeps additionally
-// flip delta/pipelining off to prove recovery is config-independent.
+// (net/fault.hpp), so every test here is deterministic. Delta round frames
+// are always on, so every sweep below exercises them.
 
 struct RunRecord {
   std::vector<EdgeId> edges;
@@ -169,17 +167,16 @@ TEST(Failover, KillMidPipelineIsBitIdenticalForEveryAlgorithm) {
 }
 
 TEST(Failover, EveryKillPointSurvivesEveryHotPathConfig) {
-  // Every coordinator-side kill frame of a phase with checkpoints on and
-  // the workers stepping on two pool threads (pool×net). Recovery replays
-  // coordinator logs as fixed-format frames whatever format the live delta
-  // codec chose, so the outcome must match the sequential run.
+  // Every coordinator-side kill frame of a phase with checkpoints on.
+  // Recovery replays coordinator logs as fixed-format frames whatever
+  // format the live delta codec chose, so the outcome must match the
+  // sequential run.
   const Graph g = weighted_graph(24, 2, 4020);
   const auto algo = [](Network& net) { return bfs_digest(net); };
   const RunRecord base = run_seq(g, algo);
   for (std::size_t frame = 1;; ++frame) {
-    FleetOptions o = kill_at(2, 0, frame, /*checkpoint_interval=*/2);
-    o.worker.threads = 2;
-    const auto [got, alive] = run_fleet(g, algo, 2, std::move(o));
+    const auto [got, alive] =
+        run_fleet(g, algo, 2, kill_at(2, 0, frame, /*checkpoint_interval=*/2));
     EXPECT_EQ(got, base) << "killed at frame " << frame;
     if (alive == 2) break;  // the kill never fired: the sweep is done
     EXPECT_EQ(alive, 1);
@@ -294,19 +291,15 @@ TEST(Failover, ScheduledWorkerSuicideIsRecoveredLikeAnyDeath) {
   for (auto& th : threads) th.join();
 }
 
-TEST(Failover, PoolWorkersComposeWithFailover) {
-  // pool×net: workers stepping on their own ThreadPool, plus a mid-phase
-  // kill. Identity is unconditional (BspRunner's contract).
+TEST(Failover, Ecss2SurvivesAMidPhaseKill) {
+  // The 2-ECSS pipeline with worker 1 killed mid-phase under an 8-round
+  // checkpoint interval: the survivor adopts its range bit-identically.
   const Graph g = weighted_graph(28, 2, 4011);
   const auto algo = [](Network& net) { return distributed_2ecss(net, TapOptions{}).edges; };
   const RunRecord base = run_seq(g, algo);
-  for (int threads : {1, 3}) {
-    FleetOptions o = kill_at(2, 1, 5, 8);
-    o.worker.threads = threads;
-    const auto [got, alive] = run_fleet(g, algo, 2, o);
-    EXPECT_EQ(got, base) << threads << " worker threads";
-    EXPECT_EQ(alive, 1);
-  }
+  const auto [got, alive] = run_fleet(g, algo, 2, kill_at(2, 1, 5, 8));
+  EXPECT_EQ(got, base);
+  EXPECT_EQ(alive, 1);
 }
 
 TEST(Failover, CheckpointCadenceAloneNeverPerturbsAnything) {
@@ -895,7 +888,7 @@ TEST(CheckpointCodec, ResumeEquivalenceOnAFreshRunner) {
   const int n = g.num_vertices();
 
   BfsProgram original(n, 0);
-  detail::BspRunner runner(g, 0, n, nullptr);
+  detail::BspRunner runner(g, 0, n);
   runner.start(original);
   int round = 1;
   for (; round <= 3; ++round)
@@ -917,7 +910,7 @@ TEST(CheckpointCodec, ResumeEquivalenceOnAFreshRunner) {
   BfsProgram restored(n, 0);
   restored.setup(g);
   restored.decode_state(0, n, back.state);
-  detail::BspRunner fresh(g, 0, n, nullptr);
+  detail::BspRunner fresh(g, 0, n);
   fresh.attach(restored);
   fresh.restore_resume(back.round, back.awake, back.pending);
 

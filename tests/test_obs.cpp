@@ -65,7 +65,7 @@ TEST_F(ObsTest, CounterMergesStripesAcrossThreads) {
 }
 
 TEST_F(ObsTest, CounterHammeredFromSharedThreadPool) {
-  // The pool engine's threads hit metric hooks concurrently; the striped
+  // Recovery and drain fan-out threads hit metric hooks concurrently; the striped
   // cells must merge to an exact total (and stay TSan-clean).
   obs::Counter& c = obs::Registry::global().counter("test.obs.pool_counter");
   ThreadPool pool(4);
