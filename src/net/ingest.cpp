@@ -1,6 +1,5 @@
 #include "net/ingest.hpp"
 
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -107,19 +106,17 @@ void run_ingest_worker(Transport& coordinator, const GraphStream& stream, std::u
     // split_seed derives the per-copy seeds from the options alone, so no
     // further coordination is needed. The slice is regrouped into
     // per-source runs (apply_batched's discipline, inlined — a slice of
-    // deletes is not a valid GraphStream on its own) and applied through
-    // the batch boundary under wopt.backend; bit-identity across backends
-    // keeps the shipped chunks byte-stable whatever each worker picks.
+    // deletes is not a valid GraphStream on its own) and applied with
+    // SketchConnectivity::apply_batch.
     DECK_CHECK(wopt.batch_halves >= 1);
     const SketchOptions aopt = decode_attempt(r);
     SketchConnectivity bank(n, aopt);
     {
-      const std::unique_ptr<BatchApplier> applier = make_batch_applier(bank, wopt.backend);
       std::vector<std::vector<VertexDelta>> pending(static_cast<std::size_t>(n));
       auto flush = [&](VertexId src) {
         auto& buf = pending[static_cast<std::size_t>(src)];
         if (buf.empty()) return;
-        applier->submit(src, std::span<const VertexDelta>(buf.data(), buf.size()));
+        bank.apply_batch(src, std::span<const VertexDelta>(buf.data(), buf.size()));
         buf.clear();
       };
       auto push = [&](VertexId src, VertexId dst, int delta) {
@@ -135,7 +132,6 @@ void run_ingest_worker(Transport& coordinator, const GraphStream& stream, std::u
         push(u.v, u.u, delta);
       }
       for (VertexId v = 0; v < n; ++v) flush(v);
-      applier->finish();  // merge barrier before the bank is encoded
     }
 
     ChunkOptions copt;

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "net/transport.hpp"
-#include "sketch/apply.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
 
@@ -56,12 +55,6 @@ struct IngestWorkerOptions {
   /// always the worker id).
   int vertices_per_chunk = 0;
   std::size_t target_chunk_bytes = 64 * 1024;
-  /// Batch-apply execution strategy for the worker's private-bank ingest
-  /// (sketch/apply.hpp). Worker-local — not on the wire: linearity plus
-  /// backend bit-identity mean any mix of backends across the fleet merges
-  /// to the same coordinator bank, so the Attempt protocol never needs to
-  /// know.
-  ApplyBackend backend = ApplyBackend::kScalar;
   /// Directed halves buffered per source vertex before the buffered run is
   /// batch-applied to the worker's bank (the apply_batched regrouping,
   /// inlined here because a slice of deletes may not be a valid GraphStream

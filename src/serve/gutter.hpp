@@ -9,10 +9,9 @@
 // guttering stage buffers each *directed half* in a gutter keyed by its
 // source vertex's range and flushes a gutter as one sorted batch: halves
 // are grouped into per-source runs and handed to the applier — normally
-// the batch-apply boundary of sketch/apply.hpp (GraphSession submits each
-// run through a BatchApplier under IngestOptions::shard.backend), so all
+// SketchConnectivity::apply_batch on the live bank (GraphSession), so all
 // of a vertex's buffered deltas walk its sketch array once while it is
-// cache-resident, scalar or SIMD.
+// cache-resident.
 //
 // Flush policy is size and/or age driven (FlushPolicy): a gutter flushes
 // when it holds max_halves buffered halves, or when its oldest half is
@@ -80,8 +79,7 @@ struct GutterStats {
 class GutteringSystem {
  public:
   /// Applies one per-source run of deltas to the sink (normally
-  /// BatchApplier::submit → SketchConnectivity::apply_batch on the live
-  /// bank, under the session's configured ApplyBackend).
+  /// SketchConnectivity::apply_batch on the live bank).
   using Applier = std::function<void(VertexId, std::span<const VertexDelta>)>;
 
   GutteringSystem(int n, const GutterOptions& opt, Applier apply);

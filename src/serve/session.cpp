@@ -54,15 +54,13 @@ GraphSession::GraphSession(int n, int k, IngestOptions opt)
     DECK_CHECK(opt_.shard.batch_size >= 1);
   }
   bank_.emplace(n_, live_bank_options());
-  // Gutter flushes reach the live bank through the batch-apply boundary
-  // (sketch/apply.hpp) under the configured backend. Parallel drains are
-  // safe: gutters own disjoint source ranges, and the CPU appliers apply
-  // submits for distinct sources independently.
-  applier_ = make_batch_applier(*bank_, opt_.shard.backend);
+  // Gutter flushes apply each per-source run straight to the live bank.
+  // Parallel drains are safe: gutters own disjoint source ranges, and
+  // apply_batch for distinct sources touches disjoint sketch arrays.
   GutterOptions gopt = opt_.gutter;
   if (gopt.pool == nullptr) gopt.pool = drain_pool();
   gutters_.emplace(n_, gopt, [this](VertexId src, std::span<const VertexDelta> deltas) {
-    applier_->submit(src, deltas);
+    bank_->apply_batch(src, deltas);
   });
 }
 
@@ -163,7 +161,6 @@ void GraphSession::flush() {
   check_open();
   check_local("flush");
   gutters_->drain();
-  applier_->finish();
 }
 
 std::size_t GraphSession::pending_updates() const {
@@ -212,10 +209,8 @@ SparsifyResult GraphSession::query(int k) {
 
 SparsifyResult GraphSession::query_local(int k) {
   // Pause/flush: the live bank must sketch everything ingested so far
-  // before recovery reads it — drain the gutters, then cross the apply
-  // boundary's merge barrier.
+  // before recovery reads it.
   gutters_->drain();
-  applier_->finish();
   std::optional<SketchConnectivity> replay;  // a replayed attempt's bank
   return recover_certificate(k, opt_.sketch, opt_.recovery,
                              [&](const SketchOptions& aopt) -> const SketchConnectivity& {
@@ -262,7 +257,6 @@ void GraphSession::close() {
     return;
   }
   gutters_->drain();
-  applier_->finish();
 }
 
 SessionStats GraphSession::stats() const {

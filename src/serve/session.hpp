@@ -42,7 +42,6 @@
 
 #include "net/ingest.hpp"
 #include "serve/gutter.hpp"
-#include "sketch/apply.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
@@ -63,11 +62,7 @@ struct IngestOptions {
   RecoveryOptions recovery;
   /// kSharded: shard count / lent pool for parallel gutter drains. The
   /// sharding enum is ignored — gutters are always contiguous vertex
-  /// ranges (the kVertexRange discipline). shard.backend selects the
-  /// batch-apply execution strategy (sketch/apply.hpp) for gutter flushes
-  /// in *every* local mode, kSequential included; kCoordinated workers
-  /// choose their own via IngestWorkerOptions::backend. Bit-identity
-  /// holds across backends, so this is pure execution policy.
+  /// ranges (the kVertexRange discipline).
   ShardOptions shard;
   /// Gutter layout and flush policy (all modes except kCoordinated).
   GutterOptions gutter;
@@ -177,10 +172,6 @@ class GraphSession {
   GraphStream stream_;
   std::size_t folded_ = 0;  // stream_ updates already pushed into gutters
   std::optional<SketchConnectivity> bank_;  // live bank (local modes)
-  /// Batch boundary gutter flushes apply through (opt_.shard.backend);
-  /// finish() is called at every drain point so an asynchronous offload
-  /// backend could slot in without touching the query path.
-  std::unique_ptr<BatchApplier> applier_;
   std::optional<GutteringSystem> gutters_;
   std::unique_ptr<ThreadPool> owned_pool_;  // kSharded drain / coordinator pool
   bool roster_validated_ = false;           // kCoordinated: Hellos consumed

@@ -2,11 +2,10 @@
 
 #include <bit>
 
-#if defined(__AVX2__)
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
 #include <immintrin.h>
 #endif
 
-#include "sketch/apply.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -20,40 +19,8 @@
 
 namespace deck {
 
-namespace {
-
-/// Stack-scratch bound for update_run's per-delta hash vectors. Wider
-/// sketches (SketchConnectivity never builds them — adaptive sizing tops
-/// out far below) fall back to the per-delta scalar loop, same results.
-constexpr int kMaxRunColumns = 32;
-
-#if defined(__AVX2__)
-
-/// 4-lane wrapping 64×64→64 multiply (AVX2 has no mullo_epi64; AVX512DQ
-/// does). Schoolbook on 32-bit halves: lo·lo plus the two cross products
-/// shifted up — the high·high term is entirely above bit 64 and drops out
-/// of the wrapping result, exactly matching scalar uint64 multiplication.
-inline __m256i mullo64(__m256i a, __m256i b) {
-  const __m256i ah = _mm256_srli_epi64(a, 32);
-  const __m256i bh = _mm256_srli_epi64(b, 32);
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a, bh), _mm256_mul_epu32(ah, b));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// 4 lanes of mix64 (support/rng.cpp) — same constants, same wrapping
-/// arithmetic, bit-identical lanes.
-inline __m256i mix64x4(__m256i x) {
-  const __m256i c1 = _mm256_set1_epi64x(static_cast<std::int64_t>(0xbf58476d1ce4e5b9ULL));
-  const __m256i c2 = _mm256_set1_epi64x(static_cast<std::int64_t>(0x94d049bb133111ebULL));
-  x = mullo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), c1);
-  x = mullo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), c2);
-  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-}
-
-#endif  // __AVX2__
-
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
+namespace {
 
 /// 8 lanes of mix64 — AVX512DQ has a native wrapping 64×64→64 multiply, so
 /// every lane is bit-identical to the scalar function by construction.
@@ -65,20 +32,16 @@ inline __m512i mix64x8(__m512i x) {
   return _mm512_xor_si512(x, _mm512_srli_epi64(x, 31));
 }
 
+}  // namespace
 #endif  // __AVX512F__ && __AVX512DQ__
 
-}  // namespace
-
 const char* simd_apply_kernel() {
-  // Defined here, not in apply.cpp: the answer must reflect the flags this
-  // TU — the one holding the kernel — was compiled with (the CMake
-  // DECK_SIMD knob applies -march=native to this source file alone).
+  // Answered by this TU, the one the CMake DECK_SIMD knob compiles with
+  // -march=native, so it reflects the flags the kernel was built with.
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
   return "avx512";
-#elif defined(__AVX2__)
-  return "avx2";
 #else
-  return "portable";
+  return "scalar";
 #endif
 }
 
@@ -134,11 +97,6 @@ void L0Sampler::update(std::uint64_t index, int delta) {
 }
 
 void L0Sampler::update_run(std::span<const RawDelta> run) {
-  if (columns_ > kMaxRunColumns) {
-    for (const RawDelta& d : run) update(d.index, static_cast<int>(d.delta));
-    return;
-  }
-  const auto cols = static_cast<std::size_t>(columns_);
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
   // Whole-sketch-in-one-register kernel: with <= 8 columns a level row is a
   // single k-masked zmm op, so each delta is two mix64x8 hash vectors and
@@ -149,7 +107,8 @@ void L0Sampler::update_run(std::span<const RawDelta> run) {
   // per-column top[] clamp of update() is implied: l never reaches
   // levels_). Masked lanes are never loaded or stored, so nothing past the
   // row's real buckets is touched. Same wrapping adds, same bank bytes.
-  if (cols <= 8) {
+  if (columns_ <= 8) {
+    const auto cols = static_cast<std::size_t>(columns_);
     const auto colm = static_cast<__mmask8>((1u << cols) - 1);
     const __m512i vsalt = _mm512_mask_loadu_epi64(_mm512_setzero_si512(), colm, column_salt_.data());
     const __m512i vfp = _mm512_mask_loadu_epi64(_mm512_setzero_si512(), colm, column_fp_.data());
@@ -179,86 +138,7 @@ void L0Sampler::update_run(std::span<const RawDelta> run) {
     return;
   }
 #endif
-  // Per-delta hash vectors: the level cutoff and the (delta-scaled)
-  // fingerprint contribution of every column, computed once and broadcast
-  // across the row passes below.
-  std::int64_t top[kMaxRunColumns];
-  std::uint64_t fpc[kMaxRunColumns];
-  for (const RawDelta& d : run) {
-    DECK_ASSERT(d.index < universe_);
-    if (d.delta == 0) continue;
-    const std::uint64_t index = d.index;
-    const std::int64_t delta = d.delta;
-    const std::int64_t dxi = delta * static_cast<std::int64_t>(index);
-    std::int64_t max_top = 0;
-    std::size_t h = 0;
-#if defined(__AVX2__)
-    // 4 columns of both hash families per iteration; lanes are
-    // bit-identical to the scalar mix64, so top[]/fpc[] come out the same.
-    std::uint64_t salt_hash[kMaxRunColumns];
-    const __m256i vidx = _mm256_set1_epi64x(static_cast<std::int64_t>(index));
-    const __m256i vd = _mm256_set1_epi64x(delta);
-    for (; h + 4 <= cols; h += 4) {
-      const __m256i s =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(column_salt_.data() + h));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(salt_hash + h),
-                          mix64x4(_mm256_xor_si256(s, vidx)));
-      const __m256i f =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(column_fp_.data() + h));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(fpc + h),
-                          mullo64(vd, mix64x4(_mm256_add_epi64(f, vidx))));
-    }
-    for (std::size_t c = 0; c < h; ++c) {
-      const int z = std::countr_zero(salt_hash[c]);
-      const std::int64_t t = z < levels_ - 1 ? z : levels_ - 1;
-      top[c] = t;
-      if (t > max_top) max_top = t;
-    }
-#endif
-    for (std::size_t c = h; c < cols; ++c) {
-      const int z = std::countr_zero(mix64(column_salt_[c] ^ index));
-      const std::int64_t t = z < levels_ - 1 ? z : levels_ - 1;
-      top[c] = t;
-      if (t > max_top) max_top = t;
-      fpc[c] = static_cast<std::uint64_t>(delta) * mix64(column_fp_[c] + index);
-    }
-    // Row passes: level l's buckets are contiguous across columns, and a
-    // column participates iff top[c] >= l — a branchless mask, so the same
-    // adds happen in the same column order as update()'s nested loops,
-    // just with explicit +0s for the masked-out columns.
-    for (std::int64_t l = 0; l <= max_top; ++l) {
-      const std::size_t row = static_cast<std::size_t>(l) * cols;
-      std::int64_t* cnt = count_.data() + row;
-      std::int64_t* isum = index_sum_.data() + row;
-      std::uint64_t* fpr = fingerprint_.data() + row;
-      std::size_t c = 0;
-#if defined(__AVX2__)
-      const __m256i vl = _mm256_set1_epi64x(l - 1);  // top > l-1 ⇔ top >= l
-      const __m256i vdelta = _mm256_set1_epi64x(delta);
-      const __m256i vdxi = _mm256_set1_epi64x(dxi);
-      for (; c + 4 <= cols; c += 4) {
-        const __m256i vtop = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(top + c));
-        const __m256i mask = _mm256_cmpgt_epi64(vtop, vl);
-        __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cnt + c));
-        v = _mm256_add_epi64(v, _mm256_and_si256(mask, vdelta));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(cnt + c), v);
-        v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(isum + c));
-        v = _mm256_add_epi64(v, _mm256_and_si256(mask, vdxi));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(isum + c), v);
-        const __m256i vfpc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(fpc + c));
-        v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(fpr + c));
-        v = _mm256_add_epi64(v, _mm256_and_si256(mask, vfpc));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(fpr + c), v);
-      }
-#endif
-      for (; c < cols; ++c) {
-        const std::uint64_t keep = top[c] >= l ? ~0ull : 0ull;
-        cnt[c] += static_cast<std::int64_t>(keep & static_cast<std::uint64_t>(delta));
-        isum[c] += static_cast<std::int64_t>(keep & static_cast<std::uint64_t>(dxi));
-        fpr[c] += keep & fpc[c];
-      }
-    }
-  }
+  for (const RawDelta& d : run) update(d.index, static_cast<int>(d.delta));
 }
 
 bool L0Sampler::compatible(const L0Sampler& other) const {

@@ -20,16 +20,17 @@
 // Storage is structure-of-arrays in *level-major* rows (docs/
 // sketch_internals.md): bucket (column c, level l) of each field lives at
 // l·columns + c, so one level's buckets across all columns are contiguous.
-// That makes a batched update (update_run) a short stack of branchless
-// column passes — the rows 0..max_top of the three field arrays — which
-// autovectorize (and have an AVX2 intrinsic kernel). The sketch_io wire
-// format predates the layout and stays column-major; the codec maps
-// indices (SketchIoAccess), so encoded bytes are unchanged.
+// With ≤ 8 columns a level row fits one zmm register, which is what the
+// AVX-512 update_run kernel exploits. The sketch_io wire format predates
+// the layout and stays column-major; the codec maps indices
+// (SketchIoAccess), so encoded bytes are unchanged.
 //
 // Determinism: all hashing derives from the constructor seed via mix64, so
 // two (seed, shape)-equal sketches are mergeable and every run reproduces.
-// update_run applies its deltas in run order with the exact arithmetic of
-// repeated update() calls — bit-identical buckets, just batched.
+// update_run has two bodies, picked at compile time: the AVX-512 kernel
+// (built with AVX512F+DQ, ≤ 8 columns) and a loop of update() calls.
+// Both apply the run in order with the exact arithmetic of update() —
+// bit-identical buckets either way.
 
 #include <cstddef>
 #include <cstdint>
@@ -58,6 +59,10 @@ struct RawDelta {
   std::int64_t delta = 0;
 };
 
+/// The update_run body this build holds: "avx512" (the zmm kernel, used by
+/// samplers with ≤ 8 columns) or "scalar" (the update() loop).
+const char* simd_apply_kernel();
+
 class L0Sampler {
  public:
   // One-sparse recovery bucket over the subsampled coordinates: signed
@@ -84,10 +89,10 @@ class L0Sampler {
   void update(std::uint64_t index, int delta);
 
   /// Batched update: applies the run in order, bit-identical to calling
-  /// update(d.index, d.delta) per element but one cache-resident pass over
-  /// this sampler — hashes computed once per delta and broadcast across the
-  /// level-major column rows. Zero deltas are skipped like update() skips
-  /// them.
+  /// update(d.index, d.delta) per element. Where the AVX-512 kernel is
+  /// compiled in, each delta hashes all columns in one register and adds
+  /// one masked row per surviving level; otherwise it is that update()
+  /// loop. Zero deltas are skipped like update() skips them.
   void update_run(std::span<const RawDelta> run);
 
   /// Bucket-wise sum: afterwards this sketches x + y. Requires compatible().

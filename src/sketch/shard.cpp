@@ -57,8 +57,7 @@ ShardIngestResult apply_sharded(const GraphStream& stream, const SketchOptions& 
         const auto si = static_cast<std::size_t>(s);
         for (const SourceBatch* b : assigned[si]) {
           bank.apply_batch(b->src,
-                           std::span<const VertexDelta>(b->deltas.data(), b->deltas.size()),
-                           opt.backend);
+                           std::span<const VertexDelta>(b->deltas.data(), b->deltas.size()));
           ++shard_batches[si];
           shard_halves[si] += b->deltas.size();
         }
@@ -84,8 +83,7 @@ ShardIngestResult apply_sharded(const GraphStream& stream, const SketchOptions& 
       SketchConnectivity bank(n, sopt);
       const auto si = static_cast<std::size_t>(s);
       while (const SourceBatch* b = queue.try_pop()) {
-        bank.apply_batch(b->src, std::span<const VertexDelta>(b->deltas.data(), b->deltas.size()),
-                         opt.backend);
+        bank.apply_batch(b->src, std::span<const VertexDelta>(b->deltas.data(), b->deltas.size()));
         ++shard_batches[si];
         shard_halves[si] += b->deltas.size();
       }

@@ -36,7 +36,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "sketch/apply.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
 
@@ -63,11 +62,6 @@ struct ShardOptions {
   /// independent of `shards` (jobs queue), and any size yields the
   /// bit-identical merged bank.
   ThreadPool* pool = nullptr;
-  /// Execution strategy for every apply_batch the shards (and, through
-  /// IngestOptions::shard, the session gutter flushes) issue — the scalar
-  /// reference loop or the batched SIMD column passes (sketch/apply.hpp).
-  /// Pure execution policy: every backend yields the bit-identical bank.
-  ApplyBackend backend = ApplyBackend::kScalar;
 };
 
 /// Static assignment of a batch source to a shard (kHash / kVertexRange).

@@ -126,29 +126,14 @@ void SketchConnectivity::update(VertexId u, VertexId v, int delta) {
   if (obs::enabled()) SketchMetrics::get().updates.inc();
 }
 
-void SketchConnectivity::apply_batch(VertexId src, std::span<const VertexDelta> deltas,
-                                     ApplyBackend backend) {
+void SketchConnectivity::apply_batch(VertexId src, std::span<const VertexDelta> deltas) {
   DECK_CHECK(src >= 0 && src < n_);
-  auto& copies = sketches_[static_cast<std::size_t>(src)];
-  if (backend == ApplyBackend::kScalar) {
-    // Delta-major reference loop: per delta, walk every copy.
-    for (const VertexDelta& d : deltas) {
-      DECK_CHECK_MSG(d.dst >= 0 && d.dst < n_, "sketch update endpoint out of range");
-      DECK_CHECK_MSG(d.dst != src, "sketch updates must not be self-loops");
-      const auto [lo, hi] = std::minmax(src, d.dst);
-      const std::uint64_t index = encode(lo, hi);
-      const int signed_delta = src == lo ? d.delta : -d.delta;
-      for (L0Sampler& s : copies) s.update(index, signed_delta);
-    }
-    if (obs::enabled()) SketchMetrics::get().updates.add(deltas.size());
-    return;
-  }
-  // kSimd, copy-major: validate and translate the batch once (edge-index
-  // encoding, sign orientation), then replay the run over each copy —
-  // per-copy bucket rows stay cache-resident for the whole run and the
-  // column passes are batched (L0Sampler::update_run). Each bucket still
-  // receives its contributions in run order, so the bank is bit-identical
-  // to the scalar path (sketch/apply.hpp).
+  // Validate and translate the whole batch first (edge-index encoding, sign
+  // orientation), so a bad half rejects the batch before any bucket moves.
+  // Then replay the run over each copy: each bucket receives its
+  // contributions in run order, so the bank is bit-identical to per-update
+  // ingestion. The scratch is per thread — parallel gutter drains and
+  // shards apply distinct sources concurrently.
   thread_local std::vector<RawDelta> run;
   run.clear();
   run.reserve(deltas.size());
@@ -159,7 +144,7 @@ void SketchConnectivity::apply_batch(VertexId src, std::span<const VertexDelta> 
     run.push_back({encode(lo, hi), src == lo ? d.delta : -d.delta});
   }
   const std::span<const RawDelta> span(run.data(), run.size());
-  for (L0Sampler& s : copies) s.update_run(span);
+  for (L0Sampler& s : sketches_[static_cast<std::size_t>(src)]) s.update_run(span);
   if (obs::enabled()) SketchMetrics::get().updates.add(deltas.size());
 }
 

@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sketch/apply.hpp"
 #include "sketch/l0_sampler.hpp"
 #include "sketch/stream.hpp"
 
@@ -161,14 +160,14 @@ class SketchConnectivity {
   void update(VertexId u, VertexId v, int delta);
 
   /// Applies a batch of directed halves to src's sketch array only — the
-  /// multi-inserter entry point used by apply_batched(). Every undirected
-  /// update must eventually reach both endpoints. `backend` picks the
-  /// execution strategy (sketch/apply.hpp): kScalar is the delta-major
-  /// reference loop, kSimd translates the batch once and replays it over
-  /// each copy as cache-resident batched column passes — bit-identical
-  /// banks either way.
-  void apply_batch(VertexId src, std::span<const VertexDelta> deltas,
-                   ApplyBackend backend = ApplyBackend::kScalar);
+  /// entry point every batched ingest surface (sharded apply, gutter
+  /// flushes, net ingest workers) funnels through. Every undirected update
+  /// must eventually reach both endpoints. The whole batch is validated and
+  /// translated (edge index, sign) before any copy is touched, so a
+  /// rejected batch throws with the bank unchanged; the run is then
+  /// replayed over each copy with L0Sampler::update_run — bit-identical to
+  /// the same halves applied one update() at a time.
+  void apply_batch(VertexId src, std::span<const VertexDelta> deltas);
 
   /// Same vertex count, seed and sketch shape (merge precondition). Copy
   /// seeds are split deterministically from opt.seed (split_seed), so two

@@ -1,9 +1,11 @@
-// Backend-identity property tests for the batched apply path
-// (sketch/apply.hpp): the scalar and simd backends must produce
-// bit-identical banks — down to encode_bank()/encode_sampler() bytes — for
-// every surface that funnels through apply_batch (direct batches, sharded
-// ingestion, gutter flush policies, coordinated net ingest), plus an
-// odd-sized/unaligned-batch edge-case suite for the SIMD run kernel.
+// Bit-identity property tests for the batched apply path
+// (SketchConnectivity::apply_batch → L0Sampler::update_run): every surface
+// that funnels through apply_batch (direct batches, sharded ingestion,
+// gutter flush policies, session queries, coordinated net ingest) must
+// build the bank a loop of per-update SketchConnectivity::update calls
+// builds — down to encode_bank()/encode_sampler() bytes — plus an
+// odd-sized/unaligned-run suite for both update_run bodies and the
+// all-or-nothing validation of a batch.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,6 @@
 #include "net/transport.hpp"
 #include "serve/gutter.hpp"
 #include "serve/session.hpp"
-#include "sketch/apply.hpp"
 #include "sketch/l0_sampler.hpp"
 #include "sketch/shard.hpp"
 #include "sketch/sketch_connectivity.hpp"
@@ -32,8 +33,8 @@
 namespace deck {
 namespace {
 
-/// Sequential scalar reference bank for a stream: the oracle every backend
-/// and regrouping must match byte-for-byte.
+/// Sequential per-update reference bank for a stream: the oracle every
+/// batched surface and regrouping must match byte-for-byte.
 SketchConnectivity reference_bank(const GraphStream& stream, const SketchOptions& opt) {
   SketchConnectivity bank(stream.num_vertices(), opt);
   for (const StreamUpdate& u : stream.updates()) bank.update(u.u, u.v, u.insert ? 1 : -1);
@@ -47,25 +48,18 @@ SketchOptions small_options(std::uint64_t seed) {
   return opt;
 }
 
-TEST(ApplyBackend, NamesRoundTrip) {
-  EXPECT_STREQ(to_string(ApplyBackend::kScalar), "scalar");
-  EXPECT_STREQ(to_string(ApplyBackend::kSimd), "simd");
-  EXPECT_EQ(parse_apply_backend("scalar"), ApplyBackend::kScalar);
-  EXPECT_EQ(parse_apply_backend("simd"), ApplyBackend::kSimd);
-  EXPECT_THROW(parse_apply_backend("gpu"), std::logic_error);
-}
-
-TEST(ApplyBackend, UpdateRunMatchesPerDeltaUpdates) {
+TEST(ApplyBatch, UpdateRunMatchesPerDeltaUpdates) {
   // The kernel-level identity, over odd/unaligned run lengths and column
-  // counts spanning every code path: 1..5 exercise the masked tail, 8 the
-  // full AVX2 lanes, 9/31 lanes+tail, 33 the >kMaxRunColumns fallback.
+  // counts covering both update_run bodies: 1..8 run the AVX-512 kernel
+  // where it is compiled in (one masked zmm row), 9/31/33 always take the
+  // per-delta update() loop.
   Rng rng(41);
   const std::uint64_t universe = 97 * 97;
-  for (int columns : {1, 2, 3, 4, 5, 6, 8, 9, 16, 31, 33}) {
+  for (int columns : {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 33}) {
     for (std::size_t len : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7},
                             std::size_t{13}, std::size_t{63}, std::size_t{255}, std::size_t{257},
                             std::size_t{1000}}) {
-      L0Sampler scalar(universe, /*seed=*/7, columns);
+      L0Sampler reference(universe, /*seed=*/7, columns);
       L0Sampler batched(universe, /*seed=*/7, columns);
       std::vector<RawDelta> run;
       run.reserve(len);
@@ -74,16 +68,16 @@ TEST(ApplyBackend, UpdateRunMatchesPerDeltaUpdates) {
         const std::uint64_t index = rng.next_below(universe / 4);
         const std::int64_t delta = rng.next_bool(0.5) ? 1 : -1;
         run.push_back({index, delta});
-        scalar.update(index, static_cast<int>(delta));
+        reference.update(index, static_cast<int>(delta));
       }
       batched.update_run(std::span<const RawDelta>(run.data(), run.size()));
-      EXPECT_EQ(encode_sampler(scalar), encode_sampler(batched))
+      EXPECT_EQ(encode_sampler(reference), encode_sampler(batched))
           << "columns=" << columns << " len=" << len;
     }
   }
 }
 
-TEST(ApplyBackend, UpdateRunSkipsZeroDeltasAndEmptyRuns) {
+TEST(ApplyBatch, UpdateRunSkipsZeroDeltasAndEmptyRuns) {
   L0Sampler a(1024, 11, 6);
   L0Sampler b(1024, 11, 6);
   b.update_run({});
@@ -93,7 +87,7 @@ TEST(ApplyBackend, UpdateRunSkipsZeroDeltasAndEmptyRuns) {
   EXPECT_TRUE(b.empty());
 }
 
-TEST(ApplyBackend, ApplyBatchIdentityAcrossBatchSizes) {
+TEST(ApplyBatch, ApplyBatchIdentityAcrossBatchSizes) {
   // Whole-bank identity for direct apply_batch at odd/unaligned batch
   // sizes, including batches far larger than any per-source run.
   const GraphStream stream = churned_stream(48, 2, 901);
@@ -101,90 +95,66 @@ TEST(ApplyBackend, ApplyBatchIdentityAcrossBatchSizes) {
   const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
   for (std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{255},
                             std::size_t{256}, std::size_t{100000}}) {
-    for (ApplyBackend backend : {ApplyBackend::kScalar, ApplyBackend::kSimd}) {
-      SketchConnectivity bank(stream.num_vertices(), opt);
-      for (const SourceBatch& b : collect_batches(stream, batch))
-        bank.apply_batch(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()),
-                         backend);
-      EXPECT_EQ(encode_bank(bank), want)
-          << "backend=" << to_string(backend) << " batch=" << batch;
-    }
+    SketchConnectivity bank(stream.num_vertices(), opt);
+    for (const SourceBatch& b : collect_batches(stream, batch))
+      bank.apply_batch(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()));
+    EXPECT_EQ(encode_bank(bank), want) << "batch=" << batch;
   }
 }
 
-TEST(ApplyBackend, ApplyBatchSimdValidatesLikeScalar) {
+TEST(ApplyBatch, RejectedBatchLeavesTheBankUntouched) {
+  // A batch is validated in full before any copy is touched: a bad half
+  // anywhere in it throws with the bank unchanged, even when valid halves
+  // precede it.
   const SketchOptions opt = small_options(3);
   SketchConnectivity bank(8, opt);
-  const std::vector<VertexDelta> self = {{2, 1}};
-  EXPECT_THROW(bank.apply_batch(2, std::span<const VertexDelta>(self.data(), self.size()),
-                                ApplyBackend::kSimd),
+  bank.update(0, 5, 1);
+  const std::vector<std::uint8_t> before = encode_bank(bank);
+  const std::vector<VertexDelta> self_loop = {{1, +1}, {3, +1}, {2, -1}};
+  EXPECT_THROW(bank.apply_batch(2, std::span<const VertexDelta>(self_loop.data(), self_loop.size())),
                std::logic_error);
-  const std::vector<VertexDelta> oob = {{8, 1}};
-  EXPECT_THROW(bank.apply_batch(0, std::span<const VertexDelta>(oob.data(), oob.size()),
-                                ApplyBackend::kSimd),
-               std::logic_error);
+  EXPECT_EQ(encode_bank(bank), before) << "self-loop";
+  const std::vector<VertexDelta> out_of_range = {{1, +1}, {3, +1}, {8, -1}};
+  EXPECT_THROW(
+      bank.apply_batch(2, std::span<const VertexDelta>(out_of_range.data(), out_of_range.size())),
+      std::logic_error);
+  EXPECT_EQ(encode_bank(bank), before) << "dst out of range";
 }
 
-TEST(ApplyBackend, TinyGraphIdentity) {
+TEST(ApplyBatch, TinyGraphIdentity) {
   // n = 2: a single possible edge, exercising the smallest universe.
   GraphStream s(2);
   s.insert(0, 1);
   s.erase(0, 1);
   s.insert(1, 0);
   const SketchOptions opt = small_options(77);
-  const std::vector<std::uint8_t> want = encode_bank(reference_bank(s, opt));
-  for (ApplyBackend backend : {ApplyBackend::kScalar, ApplyBackend::kSimd}) {
-    SketchConnectivity bank(2, opt);
-    for (const SourceBatch& b : collect_batches(s, 2))
-      bank.apply_batch(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()),
-                       backend);
-    EXPECT_EQ(encode_bank(bank), want) << to_string(backend);
-  }
+  SketchConnectivity bank(2, opt);
+  for (const SourceBatch& b : collect_batches(s, 2))
+    bank.apply_batch(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()));
+  EXPECT_EQ(encode_bank(bank), encode_bank(reference_bank(s, opt)));
 }
 
-TEST(ApplyBackend, BatchApplierBoundary) {
-  const GraphStream stream = churned_stream(32, 2, 501);
-  const SketchOptions opt = small_options(502);
-  const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
-  for (ApplyBackend backend : {ApplyBackend::kScalar, ApplyBackend::kSimd}) {
-    SketchConnectivity bank(stream.num_vertices(), opt);
-    const std::unique_ptr<BatchApplier> applier = make_batch_applier(bank, backend);
-    EXPECT_EQ(applier->backend(), backend);
-    for (const SourceBatch& b : collect_batches(stream, 19))
-      applier->submit(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()));
-    applier->finish();
-    EXPECT_EQ(encode_bank(bank), want) << to_string(backend);
-  }
-}
-
-TEST(ApplyBackend, ShardedIdentityAcrossShardCountsAndModes) {
-  // The tentpole property: scalar and simd banks are encode_bank-equal for
-  // shard counts {1, 2, 4, 8} under every sharding mode.
+TEST(ApplyBatch, ShardedIdentityAcrossShardCountsAndModes) {
+  // Sharded banks are encode_bank-equal to the per-update oracle for shard
+  // counts {1, 2, 4, 8} under every sharding mode.
   const GraphStream stream = churned_stream(64, 2, 311);
   const SketchOptions sopt = small_options(312);
-  ShardOptions ref;
-  ref.shards = 1;
-  ref.batch_size = 64;
-  const std::vector<std::uint8_t> want = encode_bank(apply_sharded(stream, sopt, ref).sketch);
+  const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, sopt));
   for (int shards : {1, 2, 4, 8}) {
     for (Sharding mode : {Sharding::kHash, Sharding::kVertexRange, Sharding::kDynamic}) {
-      for (ApplyBackend backend : {ApplyBackend::kScalar, ApplyBackend::kSimd}) {
-        ShardOptions opt;
-        opt.shards = shards;
-        opt.batch_size = 37;  // unaligned on purpose
-        opt.sharding = mode;
-        opt.backend = backend;
-        EXPECT_EQ(encode_bank(apply_sharded(stream, sopt, opt).sketch), want)
-            << "shards=" << shards << " mode=" << static_cast<int>(mode)
-            << " backend=" << to_string(backend);
-      }
+      ShardOptions opt;
+      opt.shards = shards;
+      opt.batch_size = 37;  // unaligned on purpose
+      opt.sharding = mode;
+      EXPECT_EQ(encode_bank(apply_sharded(stream, sopt, opt).sketch), want)
+          << "shards=" << shards << " mode=" << static_cast<int>(mode);
     }
   }
 }
 
-TEST(ApplyBackend, GutterFlushPolicyIdentity) {
-  // Gutter flush path, straight through a BatchApplier: every flush policy
-  // and backend merges to the same bank bytes.
+TEST(ApplyBatch, GutterFlushPolicyIdentity) {
+  // Gutter flush path, straight into apply_batch: every flush policy
+  // merges to the oracle's bank bytes.
   const GraphStream stream = churned_stream(40, 2, 601);
   const SketchOptions opt = small_options(602);
   const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
@@ -194,54 +164,46 @@ TEST(ApplyBackend, GutterFlushPolicyIdentity) {
       {/*max_halves=*/64, /*max_age=*/16},
   };
   for (const FlushPolicy& policy : policies) {
-    for (ApplyBackend backend : {ApplyBackend::kScalar, ApplyBackend::kSimd}) {
-      SketchConnectivity bank(stream.num_vertices(), opt);
-      const std::unique_ptr<BatchApplier> applier = make_batch_applier(bank, backend);
-      GutterOptions gopt;
-      gopt.num_gutters = 4;
-      gopt.policy = policy;
-      GutteringSystem gutters(stream.num_vertices(), gopt,
-                              [&](VertexId src, std::span<const VertexDelta> deltas) {
-                                applier->submit(src, deltas);
-                              });
-      for (const StreamUpdate& u : stream.updates())
-        gutters.push(u.u, u.v, u.insert ? 1 : -1);
-      gutters.drain();
-      applier->finish();
-      EXPECT_EQ(encode_bank(bank), want)
-          << "max_halves=" << policy.max_halves << " max_age=" << policy.max_age
-          << " backend=" << to_string(backend);
-    }
+    SketchConnectivity bank(stream.num_vertices(), opt);
+    GutterOptions gopt;
+    gopt.num_gutters = 4;
+    gopt.policy = policy;
+    GutteringSystem gutters(stream.num_vertices(), gopt,
+                            [&](VertexId src, std::span<const VertexDelta> deltas) {
+                              bank.apply_batch(src, deltas);
+                            });
+    for (const StreamUpdate& u : stream.updates()) gutters.push(u.u, u.v, u.insert ? 1 : -1);
+    gutters.drain();
+    EXPECT_EQ(encode_bank(bank), want)
+        << "max_halves=" << policy.max_halves << " max_age=" << policy.max_age;
   }
 }
 
-TEST(ApplyBackend, SessionQueryIdentityAcrossBackends) {
-  // End-to-end through GraphSession: a simd-backed session answers queries
-  // identically to the scalar-backed one, for sequential and sharded modes.
+TEST(ApplyBatch, SessionQueryMatchesPerUpdateOracle) {
+  // End-to-end through GraphSession: sequential and sharded sessions (with
+  // small, unaligned gutter flushes) answer exactly what recovery on the
+  // per-update oracle bank answers.
   const GraphStream stream = churned_stream(48, 2, 701);
-  SketchOptions sopt = small_options(702);
-  IngestOptions ref;
-  ref.sketch = sopt;
-  const SparsifyResult want = ingest(stream, 2, ref);
+  const SketchOptions sopt = small_options(702);
+  const KForests want = reference_bank(stream, sopt).recover_forests(2);
+  ASSERT_TRUE(want.converged);
   for (IngestMode mode : {IngestMode::kSequential, IngestMode::kSharded}) {
     IngestOptions io;
     io.mode = mode;
     io.sketch = sopt;
     io.shard.shards = mode == IngestMode::kSharded ? 3 : 1;
-    io.shard.backend = ApplyBackend::kSimd;
     io.gutter.policy.max_halves = 11;
     const SparsifyResult got = ingest(stream, 2, io);
     EXPECT_EQ(sorted_pairs(got.forests), sorted_pairs(want.forests))
         << "mode=" << static_cast<int>(mode);
     EXPECT_EQ(got.copies_used, want.copies_used);
-    EXPECT_EQ(got.attempts, want.attempts);
+    EXPECT_EQ(got.attempts, 1);
   }
 }
 
-TEST(ApplyBackend, CoordinatedIngestIdentityDownToBankBytes) {
-  // Multi-process protocol surface: workers ingesting under the simd
-  // backend (with an unaligned per-source batch limit) must assemble to
-  // the byte-identical coordinator bank, even mixed with scalar workers.
+TEST(ApplyBatch, CoordinatedIngestIdentityDownToBankBytes) {
+  // Multi-process protocol surface: workers ingesting with an unaligned
+  // per-source batch limit must assemble to the oracle's bank bytes.
   const GraphStream stream = churned_stream(32, 2, 801);
   const SketchOptions opt = small_options(802);
   const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
@@ -255,7 +217,6 @@ TEST(ApplyBackend, CoordinatedIngestIdentityDownToBankBytes) {
     ends.push_back(std::move(coordinator_end));
     raw.push_back(ends.back().get());
     IngestWorkerOptions wopt;
-    wopt.backend = w == 0 ? ApplyBackend::kScalar : ApplyBackend::kSimd;
     wopt.batch_halves = 13;
     threads.emplace_back(
         [&stream, w, wopt, t = std::shared_ptr<Transport>(std::move(worker_end))] {

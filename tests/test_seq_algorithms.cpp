@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
-#include "graph/block_forest.hpp"
 #include "graph/bridges.hpp"
 #include "graph/dinic.hpp"
 #include "graph/edge_connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/mst_seq.hpp"
-#include "graph/stoer_wagner.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace deck {
@@ -16,6 +17,77 @@ namespace {
 
 std::vector<char> all_edges(const Graph& g) {
   return std::vector<char>(static_cast<std::size_t>(g.num_edges()), 1);
+}
+
+struct GlobalMinCut {
+  std::int64_t value = 0;  // edges crossing the cut
+  std::vector<char> side;  // side[v] = 1 for vertices on one shore
+};
+
+/// Stoer–Wagner deterministic global minimum cut with unit edge capacities
+/// (edge connectivity with a witness side) — kept here as an oracle
+/// independent of the Dinic-based edge_connectivity. Requires n >= 2.
+GlobalMinCut stoer_wagner_min_cut(const Graph& g) {
+  const int n = g.num_vertices();
+  const auto un = static_cast<std::size_t>(n);
+  GlobalMinCut best;
+  best.side.assign(un, 0);
+  best.value = std::numeric_limits<std::int64_t>::max();
+  // Dense adjacency between contracted super-vertices.
+  std::vector<std::vector<std::int64_t>> w(un, std::vector<std::int64_t>(un, 0));
+  for (const Edge& e : g.edges()) {
+    w[static_cast<std::size_t>(e.u)][static_cast<std::size_t>(e.v)] += 1;
+    w[static_cast<std::size_t>(e.v)][static_cast<std::size_t>(e.u)] += 1;
+  }
+  std::vector<std::vector<VertexId>> members(un);
+  std::vector<int> active;
+  for (int v = 0; v < n; ++v) {
+    members[static_cast<std::size_t>(v)] = {v};
+    active.push_back(v);
+  }
+  while (active.size() > 1) {
+    // Maximum adjacency ordering; the last two picked are `prev`, `last`.
+    std::vector<std::int64_t> conn(un, 0);
+    std::vector<char> added(un, 0);
+    int prev = -1, last = -1;
+    std::int64_t last_conn = 0;
+    for (std::size_t step = 0; step < active.size(); ++step) {
+      int pick = -1;
+      for (int v : active)
+        if (!added[static_cast<std::size_t>(v)] &&
+            (pick == -1 || conn[static_cast<std::size_t>(v)] > conn[static_cast<std::size_t>(pick)]))
+          pick = v;
+      DECK_CHECK(pick != -1);  // step < active.size() leaves a non-added vertex
+      added[static_cast<std::size_t>(pick)] = 1;
+      prev = last;
+      last = pick;
+      last_conn = conn[static_cast<std::size_t>(pick)];
+      for (int v : active)
+        if (!added[static_cast<std::size_t>(v)])
+          conn[static_cast<std::size_t>(v)] +=
+              w[static_cast<std::size_t>(pick)][static_cast<std::size_t>(v)];
+    }
+    // Cut of the phase: {last} against the rest.
+    if (last_conn < best.value) {
+      best.value = last_conn;
+      std::fill(best.side.begin(), best.side.end(), 0);
+      for (VertexId v : members[static_cast<std::size_t>(last)])
+        best.side[static_cast<std::size_t>(v)] = 1;
+    }
+    // Contract last into prev.
+    for (int v : active) {
+      if (v == last || v == prev) continue;
+      w[static_cast<std::size_t>(prev)][static_cast<std::size_t>(v)] +=
+          w[static_cast<std::size_t>(last)][static_cast<std::size_t>(v)];
+      w[static_cast<std::size_t>(v)][static_cast<std::size_t>(prev)] =
+          w[static_cast<std::size_t>(prev)][static_cast<std::size_t>(v)];
+    }
+    auto& pm = members[static_cast<std::size_t>(prev)];
+    const auto& lm = members[static_cast<std::size_t>(last)];
+    pm.insert(pm.end(), lm.begin(), lm.end());
+    active.erase(std::find(active.begin(), active.end(), last));
+  }
+  return best;
 }
 
 TEST(Kruskal, MatchesKnownMst) {
@@ -79,26 +151,6 @@ TEST(Bridges, TreeIsAllBridges) {
 TEST(Bridges, CycleHasNone) {
   Graph g = circulant(8, 1);
   EXPECT_TRUE(find_bridges(g).bridges.empty());
-}
-
-TEST(BlockForest, CoverageCounting) {
-  // Path of three triangles: coverage between far blocks crosses 2 bridges.
-  Graph g(9);
-  auto tri = [&](int a, int b, int c) {
-    g.add_edge(a, b);
-    g.add_edge(b, c);
-    g.add_edge(c, a);
-  };
-  tri(0, 1, 2);
-  tri(3, 4, 5);
-  tri(6, 7, 8);
-  g.add_edge(2, 3);
-  g.add_edge(5, 6);
-  BlockForest bf(g, all_edges(g));
-  EXPECT_EQ(bf.num_blocks(), 3);
-  EXPECT_EQ(bf.num_bridges_covered_by(0, 8), 2);
-  EXPECT_EQ(bf.num_bridges_covered_by(0, 1), 0);
-  EXPECT_EQ(bf.bridges_covered_by(1, 4).size(), 1u);
 }
 
 TEST(Dinic, SimpleMaxFlow) {
