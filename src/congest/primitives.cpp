@@ -49,6 +49,7 @@ RootedTree distributed_bfs(Network& net, VertexId root) {
   if (n == 1) {
     // Degenerate single-vertex network: the root's lone announcement round
     // (seed accounting) moves nothing.
+    prog.setup(g);
     net.charge(1, 0);
     return RootedTree(std::move(prog.parent), std::move(prog.parent_edge));
   }
@@ -106,8 +107,8 @@ std::vector<std::optional<KeyedItem>> ancestor_min_merge(
   return out;
 }
 
-std::vector<std::vector<KeyedItem>> pipelined_broadcast(
-    Network& net, const CommForest& f, std::vector<std::vector<KeyedItem>> root_items) {
+std::vector<KeyedItem> pipelined_broadcast(Network& net, const CommForest& f,
+                                           std::vector<std::vector<KeyedItem>> root_items) {
   const auto n = f.parent.size();
   DECK_CHECK(root_items.size() == n);
   int roots = 0;
@@ -137,7 +138,9 @@ std::vector<std::vector<KeyedItem>> pipelined_broadcast(
   }
   net.charge(static_cast<std::uint64_t>(f.height()) + len,
              std::max<std::uint64_t>(len, 1) * (n - 1));
-  return std::move(prog.received);
+  for (std::uint32_t got : prog.count)
+    DECK_CHECK_MSG(got == len, "pipelined broadcast left a vertex short of the list");
+  return prog.list();
 }
 
 std::vector<std::vector<KeyedItem>> path_downcast(Network& net, const CommForest& f,

@@ -46,6 +46,8 @@ struct KeyedItem {
   std::uint64_t key = 0;
   std::uint64_t prio = 0;
   std::uint64_t payload = 0;
+
+  friend bool operator==(const KeyedItem&, const KeyedItem&) = default;
 };
 
 /// Communication forest: parent/children restricted to some tree structure,
@@ -106,11 +108,13 @@ std::vector<std::vector<KeyedItem>> keyed_min_upcast(
 std::vector<std::optional<KeyedItem>> ancestor_min_merge(
     Network& net, const CommForest& f, std::vector<std::vector<KeyedItem>> items);
 
-/// Pipelined broadcast of a list from each forest root to every vertex in
-/// its tree. `root_items[r]` must be non-empty only at roots. Returns the
-/// list each vertex received. ~O(height + max list) rounds.
-std::vector<std::vector<KeyedItem>> pipelined_broadcast(
-    Network& net, const CommForest& f, std::vector<std::vector<KeyedItem>> root_items);
+/// Pipelined broadcast of the root's list to every vertex of a single-root
+/// tree. `root_items[r]` may be non-empty only at the root. Every vertex
+/// receives the whole list, each item checked against the root's list on
+/// arrival; since all copies are equal, the one list is returned.
+/// height + len rounds.
+std::vector<KeyedItem> pipelined_broadcast(Network& net, const CommForest& f,
+                                           std::vector<std::vector<KeyedItem>> root_items);
 
 /// Path downcast (Claims 3.1/3.2): each non-root vertex holds one item (for
 /// its parent edge); afterwards every vertex knows the items of all edges on

@@ -67,6 +67,44 @@ ForestData decode_forest(net::WireReader& r) {
   return f;
 }
 
+/// Fills `out` with the children lists of the non-roots v that `keep(v)`
+/// admits; every parent id must already be in range. Visiting v in
+/// ascending order keeps each list ascending by child id, which fixes the
+/// send order of every program that walks it.
+template <typename Keep>
+void build_child_lists(const std::vector<VertexId>& parent, Keep keep, ChildLists& out) {
+  const std::size_t n = parent.size();
+  out.off.assign(n + 1, 0);
+  std::size_t total = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (parent[v] == kNoVertex || !keep(static_cast<VertexId>(v))) continue;
+    ++out.off[static_cast<std::size_t>(parent[v]) + 1];
+    ++total;
+  }
+  for (std::size_t v = 0; v < n; ++v) out.off[v + 1] += out.off[v];
+  out.list.resize(total);
+  // off[p] serves as p's fill cursor, ending at p + 1's start; shifting
+  // the array back one slot restores the starts.
+  for (std::size_t v = 0; v < n; ++v) {
+    if (parent[v] == kNoVertex || !keep(static_cast<VertexId>(v))) continue;
+    out.list[static_cast<std::size_t>(out.off[static_cast<std::size_t>(parent[v])]++)] =
+        static_cast<VertexId>(v);
+  }
+  for (std::size_t v = n; v > 0; --v) out.off[v] = out.off[v - 1];
+  out.off[0] = 0;
+}
+
+bool known_combine(CombineOp op) {
+  switch (op) {
+    case CombineOp::kSum:
+    case CombineOp::kMin:
+    case CombineOp::kMax:
+    case CombineOp::kOr:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 int ForestData::height() const {
@@ -83,9 +121,10 @@ void ForestData::encode(std::vector<std::uint8_t>& out) const {
 
 void ForestProgramBase::setup(const Graph& g) {
   const int n = this->n();
-  DECK_CHECK_MSG(n == g.num_vertices(), "forest and graph disagree on the vertex count");
   // Forests can arrive over the wire (distributed Start specs), so bogus
-  // ids/depths must fail typed before they index anything.
+  // sizes/ids/depths must fail typed before they index anything.
+  if (n != g.num_vertices())
+    throw NetError("congest program spec: forest and graph disagree on the vertex count");
   for (VertexId v = 0; v < n; ++v) {
     const VertexId p = f_.parent[static_cast<std::size_t>(v)];
     if (p != kNoVertex && (p < 0 || p >= n))
@@ -95,7 +134,6 @@ void ForestProgramBase::setup(const Graph& g) {
   }
   height_ = f_.height();
   parent_port_.assign(static_cast<std::size_t>(n), kNoEdge);
-  children_.assign(static_cast<std::size_t>(n), {});
   // Note: depth is *forest-local* and may jump across parent links (the
   // segment forest keeps full tree parents with per-segment depths; the
   // contiguity relation depth(v) == depth(p) + 1 is how primitives that care
@@ -104,10 +142,11 @@ void ForestProgramBase::setup(const Graph& g) {
     const VertexId p = parent(v);
     if (p == kNoVertex) continue;
     const EdgeId e = g.find_edge(v, p);
-    DECK_CHECK_MSG(e != kNoEdge, "forest edge must be a graph edge (CONGEST moves data on edges)");
+    // CONGEST moves data on edges only.
+    if (e == kNoEdge) throw NetError("congest program spec: forest edge is not a graph edge");
     parent_port_[static_cast<std::size_t>(v)] = e;
-    children_[static_cast<std::size_t>(p)].push_back(v);
   }
+  build_child_lists(f_.parent, [](VertexId) { return true; }, children_);
 }
 
 void ForestProgramBase::send_down(VertexId v, const Packet& msg, Outbox& out) const {
@@ -117,17 +156,19 @@ void ForestProgramBase::send_down(VertexId v, const Packet& msg, Outbox& out) co
 // ---------------------------------------------------------------------------
 // BFS flood.
 
-BfsProgram::BfsProgram(int n, VertexId root)
-    : parent(static_cast<std::size_t>(n), kNoVertex),
-      parent_edge(static_cast<std::size_t>(n), kNoEdge),
-      root_(root),
-      joined_(static_cast<std::size_t>(n), 0) {}
+BfsProgram::BfsProgram(int n, VertexId root) : n_(n), root_(root) {}
 
 void BfsProgram::setup(const Graph& g) {
-  DECK_CHECK(static_cast<int>(joined_.size()) == g.num_vertices());
+  // n comes from the spec: check it before sizing anything by it.
+  if (n_ != g.num_vertices())
+    throw NetError("congest program spec: bfs n does not match the graph");
   if (root_ < 0 || root_ >= g.num_vertices())
     throw NetError("congest program spec: bfs root out of range");
   g_ = &g;
+  const auto n = static_cast<std::size_t>(n_);
+  parent.assign(n, kNoVertex);
+  parent_edge.assign(n, kNoEdge);
+  joined_.assign(n, 0);
 }
 
 void BfsProgram::step(VertexId v, int round, std::span<const Delivery> inbox, Outbox& out) {
@@ -155,7 +196,7 @@ void BfsProgram::finish_range(VertexId begin, VertexId end) {
 }
 
 void BfsProgram::encode_spec(std::vector<std::uint8_t>& out) const {
-  net::put_u32(out, static_cast<std::uint32_t>(joined_.size()));
+  net::put_u32(out, static_cast<std::uint32_t>(n_));
   net::put_u32(out, id32(root_));
 }
 
@@ -217,14 +258,17 @@ std::uint64_t apply_combine(CombineOp op, std::uint64_t a, std::uint64_t b) {
 ConvergecastProgram::ConvergecastProgram(ForestData f, CombineOp op,
                                          std::vector<std::uint64_t> value)
     : ForestProgramBase(std::move(f)), value(std::move(value)), op_(op) {
-  DECK_CHECK(this->value.size() == f_.parent.size());
+  if (this->value.size() != f_.parent.size())
+    throw NetError("congest program spec: convergecast value list length is not n");
+  if (!known_combine(op_)) throw NetError("congest program spec: unknown convergecast CombineOp");
 }
 
 void ConvergecastProgram::setup(const Graph& g) {
   ForestProgramBase::setup(g);
   // The stall-free fire schedule requires honest forest-local depths.
   for (VertexId v = 0; v < n(); ++v)
-    if (!is_root(v)) DECK_CHECK(depth(v) == depth(parent(v)) + 1);
+    if (!is_root(v) && depth(v) != depth(parent(v)) + 1)
+      throw NetError("congest program spec: convergecast depth is not the parent's plus one");
 }
 
 void ConvergecastProgram::step(VertexId v, int round, std::span<const Delivery> inbox,
@@ -275,7 +319,8 @@ void ConvergecastProgram::decode_state(VertexId begin, VertexId end,
 
 BroadcastProgram::BroadcastProgram(ForestData f, std::vector<std::uint64_t> value)
     : ForestProgramBase(std::move(f)), value(std::move(value)) {
-  DECK_CHECK(this->value.size() == f_.parent.size());
+  if (this->value.size() != f_.parent.size())
+    throw NetError("congest program spec: broadcast value list length is not n");
 }
 
 void BroadcastProgram::step(VertexId v, int round, std::span<const Delivery> inbox, Outbox& out) {
@@ -344,9 +389,12 @@ void KeyedUpcastProgram::merge_in(VertexId v, std::uint64_t key, std::uint64_t p
 void KeyedUpcastProgram::setup(const Graph& g) {
   ForestProgramBase::setup(g);
   const auto n = static_cast<std::size_t>(this->n());
-  pending_.assign(n, {});
-  frontiers_.assign(n, {});
-  child_frontier_.assign(n, {});
+  pending_.clear();
+  pending_.resize(n);
+  frontiers_.clear();
+  frontiers_.resize(n);
+  child_front_.assign(n, 0);
+  child_live_.assign(n, 0);
   live_children_.assign(n, 0);
   eos_sent_.assign(n, 0);
   finalized.assign(n, {});
@@ -357,7 +405,8 @@ void KeyedUpcastProgram::setup(const Graph& g) {
     live_children_[sv] = static_cast<int>(kids(v).size());
     for (VertexId c : kids(v)) {
       frontiers_[sv].insert(kNotYet);
-      child_frontier_[sv][c] = kNotYet;
+      child_front_[static_cast<std::size_t>(c)] = kNotYet;
+      child_live_[static_cast<std::size_t>(c)] = 1;
     }
   }
 }
@@ -365,16 +414,17 @@ void KeyedUpcastProgram::setup(const Graph& g) {
 void KeyedUpcastProgram::step(VertexId v, int, std::span<const Delivery> inbox, Outbox& out) {
   const auto sv = static_cast<std::size_t>(v);
   for (const Delivery& d : inbox) {
-    auto it = child_frontier_[sv].find(d.from);
-    DECK_CHECK_MSG(it != child_frontier_[sv].end(), "upcast message from a non-child");
-    frontiers_[sv].erase(frontiers_[sv].find(it->second));
+    const auto sc = static_cast<std::size_t>(d.from);
+    DECK_CHECK_MSG(parent(d.from) == v && child_live_[sc], "upcast message from a non-child");
+    std::int64_t& front = child_front_[sc];
+    frontiers_[sv].erase(frontiers_[sv].find(front));
     if (d.msg.tag == kTagEos) {
-      child_frontier_[sv].erase(it);
+      child_live_[sc] = 0;
       --live_children_[sv];
     } else {
       merge_in(v, d.msg.a, d.msg.b, d.msg.c);
-      it->second = static_cast<std::int64_t>(d.msg.a);
-      frontiers_[sv].insert(it->second);
+      front = static_cast<std::int64_t>(d.msg.a);
+      frontiers_[sv].insert(front);
     }
   }
   if (is_root(v) || eos_sent_[sv]) return;
@@ -437,15 +487,12 @@ void KeyedUpcastProgram::encode_state(VertexId begin, VertexId end,
       net::put_u64(out, val.prio);
       net::put_u64(out, val.payload);
     }
-    // child_frontier_ is an unordered_map: serialize sorted by child id so
-    // the blob is byte-identical across runs and standard libraries.
-    std::vector<std::pair<VertexId, std::int64_t>> fronts(child_frontier_[sv].begin(),
-                                                          child_frontier_[sv].end());
-    std::sort(fronts.begin(), fronts.end());
-    net::put_u32(out, static_cast<std::uint32_t>(fronts.size()));
-    for (const auto& [child, frontier] : fronts) {
-      net::put_u32(out, id32(child));
-      net::put_u64(out, static_cast<std::uint64_t>(frontier));
+    // The open child streams, ascending by child id.
+    net::put_u32(out, static_cast<std::uint32_t>(live_children_[sv]));
+    for (VertexId c : kids(v)) {
+      if (!child_live_[static_cast<std::size_t>(c)]) continue;
+      net::put_u32(out, id32(c));
+      net::put_u64(out, static_cast<std::uint64_t>(child_front_[static_cast<std::size_t>(c)]));
     }
   }
 }
@@ -466,19 +513,26 @@ void KeyedUpcastProgram::decode_state(VertexId begin, VertexId end,
       const std::uint64_t payload = r.u64();
       pending_[sv].emplace_hint(pending_[sv].end(), key, ItemValue{prio, payload});
     }
-    child_frontier_[sv].clear();
     frontiers_[sv].clear();
+    for (VertexId c : kids(v)) child_live_[static_cast<std::size_t>(c)] = 0;
     const std::uint32_t child_count = r.u32();
     if (child_count > r.remaining() / 12)
       throw NetError("congest checkpoint: frontier list longer than the blob");
+    VertexId prev = kNoVertex;
     for (std::uint32_t i = 0; i < child_count; ++i) {
       const auto child = static_cast<VertexId>(r.u32());
       const auto frontier = static_cast<std::int64_t>(r.u64());
-      child_frontier_[sv][child] = frontier;
+      // Open streams are listed once each, ascending, and only v's
+      // children have streams into v.
+      if (child <= prev || child >= n() || parent(child) != v)
+        throw NetError("congest checkpoint: frontier list names a non-child or repeats one");
+      prev = child;
+      child_front_[static_cast<std::size_t>(child)] = frontier;
+      child_live_[static_cast<std::size_t>(child)] = 1;
       frontiers_[sv].insert(frontier);
     }
     // Live children are exactly the child streams that have not hit EOS.
-    live_children_[sv] = static_cast<int>(child_frontier_[sv].size());
+    live_children_[sv] = static_cast<int>(child_count);
   }
 }
 
@@ -488,9 +542,15 @@ void KeyedUpcastProgram::decode_state(VertexId begin, VertexId end,
 PipelinedBroadcastProgram::PipelinedBroadcastProgram(ForestData f, VertexId root,
                                                      std::vector<KeyedItem> list)
     : ForestProgramBase(std::move(f)),
-      received(f_.parent.size()),
+      count(f_.parent.size(), 0),
       root_(root),
       list_(std::move(list)) {}
+
+void PipelinedBroadcastProgram::setup(const Graph& g) {
+  ForestProgramBase::setup(g);
+  if (root_ < 0 || root_ >= n() || !is_root(root_))
+    throw NetError("congest program spec: pipelined broadcast root is not a forest root");
+}
 
 void PipelinedBroadcastProgram::step(VertexId v, int round, std::span<const Delivery> inbox,
                                      Outbox& out) {
@@ -509,13 +569,21 @@ void PipelinedBroadcastProgram::step(VertexId v, int round, std::span<const Deli
   }
   DECK_CHECK(inbox.size() == 1);
   const Packet& m = inbox[0].msg;
-  if (m.tag == kTagData)
-    received[static_cast<std::size_t>(v)].push_back(KeyedItem{m.a, m.b, m.c});
+  if (m.tag == kTagData) {
+    std::uint32_t& got = count[static_cast<std::size_t>(v)];
+    DECK_CHECK_MSG(got < list_.size() && list_[got] == (KeyedItem{m.a, m.b, m.c}),
+                   "pipelined broadcast delivered an item out of list order");
+    ++got;
+  }
   send_down(v, m, out);
 }
 
 void PipelinedBroadcastProgram::finish_range(VertexId begin, VertexId end) {
-  if (root_ >= begin && root_ < end) received[static_cast<std::size_t>(root_)] = list_;
+  const auto len = static_cast<std::uint32_t>(list_.size());
+  if (root_ >= begin && root_ < end) count[static_cast<std::size_t>(root_)] = len;
+  for (VertexId v = begin; v < end; ++v)
+    DECK_CHECK_MSG(count[static_cast<std::size_t>(v)] == len,
+                   "pipelined broadcast left a vertex short of the list");
 }
 
 void PipelinedBroadcastProgram::encode_spec(std::vector<std::uint8_t>& out) const {
@@ -526,24 +594,29 @@ void PipelinedBroadcastProgram::encode_spec(std::vector<std::uint8_t>& out) cons
 
 void PipelinedBroadcastProgram::encode_outputs(VertexId begin, VertexId end,
                                                std::vector<std::uint8_t>& out) const {
-  for (VertexId v = begin; v < end; ++v) encode_items(out, received[static_cast<std::size_t>(v)]);
+  for (VertexId v = begin; v < end; ++v) net::put_u32(out, count[static_cast<std::size_t>(v)]);
 }
 
 void PipelinedBroadcastProgram::decode_outputs(VertexId begin, VertexId end,
                                                std::span<const std::uint8_t> bytes) {
   net::WireReader r(bytes);
-  for (VertexId v = begin; v < end; ++v) received[static_cast<std::size_t>(v)] = decode_items(r);
+  for (VertexId v = begin; v < end; ++v) {
+    const std::uint32_t got = r.u32();
+    if (got > list_.size())
+      throw NetError("congest pipelined broadcast: received count exceeds the list length");
+    count[static_cast<std::size_t>(v)] = got;
+  }
 }
 
+// The counts are both the outputs and the whole mutable state.
 void PipelinedBroadcastProgram::encode_state(VertexId begin, VertexId end,
                                              std::vector<std::uint8_t>& out) const {
-  for (VertexId v = begin; v < end; ++v) encode_items(out, received[static_cast<std::size_t>(v)]);
+  encode_outputs(begin, end, out);
 }
 
 void PipelinedBroadcastProgram::decode_state(VertexId begin, VertexId end,
                                              std::span<const std::uint8_t> bytes) {
-  net::WireReader r(bytes);
-  for (VertexId v = begin; v < end; ++v) received[static_cast<std::size_t>(v)] = decode_items(r);
+  decode_outputs(begin, end, bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,24 +624,21 @@ void PipelinedBroadcastProgram::decode_state(VertexId begin, VertexId end,
 
 PathDowncastProgram::PathDowncastProgram(ForestData f, std::vector<KeyedItem> own_item)
     : ForestProgramBase(std::move(f)), received(f_.parent.size()), own_(std::move(own_item)) {
-  DECK_CHECK(own_.size() == f_.parent.size());
+  if (own_.size() != f_.parent.size())
+    throw NetError("congest program spec: path downcast own list length is not n");
 }
 
 void PathDowncastProgram::setup(const Graph& g) {
   ForestProgramBase::setup(g);
-  contig_kids_.assign(f_.parent.size(), {});
-  for (VertexId v = 0; v < n(); ++v) {
-    const VertexId p = parent(v);
-    if (p != kNoVertex && depth(v) == depth(p) + 1)
-      contig_kids_[static_cast<std::size_t>(p)].push_back(v);
-  }
+  build_child_lists(
+      f_.parent, [this](VertexId v) { return depth(v) == depth(parent(v)) + 1; }, contig_kids_);
 }
 
 void PathDowncastProgram::step(VertexId v, int round, std::span<const Delivery> inbox,
                                Outbox& out) {
   const auto sv = static_cast<std::size_t>(v);
   auto send_contig = [&](const Packet& m) {
-    for (VertexId c : contig_kids_[sv]) out.send(c, parent_port(c), m);
+    for (VertexId c : contig_kids_.of(v)) out.send(c, parent_port(c), m);
   };
   if (round == 1 && !is_root(v)) {
     const KeyedItem& it = own_[sv];
@@ -626,7 +696,8 @@ EdgeExchangeProgram::EdgeExchangeProgram(int n, std::vector<EdgeId> edges,
 }
 
 void EdgeExchangeProgram::setup(const Graph& g) {
-  DECK_CHECK(n_ == g.num_vertices());
+  if (n_ != g.num_vertices())
+    throw NetError("congest program spec: edge_exchange n does not match the graph");
   g_ = &g;
   send_slots_.assign(static_cast<std::size_t>(n_), {});
   edge_index_.clear();
@@ -634,7 +705,8 @@ void EdgeExchangeProgram::setup(const Graph& g) {
     const EdgeId e = edges_[i];
     if (e < 0 || e >= g.num_edges())
       throw NetError("congest program spec: edge_exchange edge id out of range");
-    DECK_CHECK_MSG(edge_index_.emplace(e, i).second, "edge_exchange edges must be distinct");
+    if (!edge_index_.emplace(e, i).second)
+      throw NetError("congest program spec: edge_exchange lists an edge twice");
     const Edge& ed = g.edge(e);
     if (!from_u_[i].empty()) send_slots_[static_cast<std::size_t>(ed.u)].push_back({i, e, ed.v});
     if (!from_v_[i].empty()) send_slots_[static_cast<std::size_t>(ed.v)].push_back({i, e, ed.u});

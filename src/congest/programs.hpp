@@ -19,8 +19,11 @@
 
 #include <cstdint>
 #include <map>
+#include <memory_resource>
 #include <set>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "congest/engine.hpp"
@@ -50,9 +53,23 @@ struct ForestData {
   void encode(std::vector<std::uint8_t>& out) const;
 };
 
+/// Children lists in CSR form: the children of v are
+/// list[off[v] .. off[v + 1]), ascending by vertex id. Two flat arrays, so
+/// building them costs the same few allocations at any n.
+struct ChildLists {
+  std::vector<std::int32_t> off;
+  std::vector<VertexId> list;
+
+  std::span<const VertexId> of(VertexId v) const {
+    const auto sv = static_cast<std::size_t>(v);
+    return {list.data() + off[sv], list.data() + off[sv + 1]};
+  }
+};
+
 /// Shared derived topology: children lists, the graph edge joining each
 /// non-root to its parent (forest edges must be graph edges — the engine
-/// only moves data along real edges), and the global height.
+/// only moves data along real edges), and the global height. setup()
+/// rejects a spec that does not fit the graph with NetError.
 class ForestProgramBase : public VertexProgram {
  public:
   explicit ForestProgramBase(ForestData f) : f_(std::move(f)) {}
@@ -65,9 +82,7 @@ class ForestProgramBase : public VertexProgram {
   VertexId parent(VertexId v) const { return f_.parent[static_cast<std::size_t>(v)]; }
   int depth(VertexId v) const { return f_.depth[static_cast<std::size_t>(v)]; }
   EdgeId parent_port(VertexId v) const { return parent_port_[static_cast<std::size_t>(v)]; }
-  const std::vector<VertexId>& kids(VertexId v) const {
-    return children_[static_cast<std::size_t>(v)];
-  }
+  std::span<const VertexId> kids(VertexId v) const { return children_.of(v); }
   /// Sends `msg` to every child of v (the child's parent port is the edge).
   void send_down(VertexId v, const Packet& msg, Outbox& out) const;
 
@@ -76,7 +91,7 @@ class ForestProgramBase : public VertexProgram {
 
  private:
   std::vector<EdgeId> parent_port_;
-  std::vector<std::vector<VertexId>> children_;
+  ChildLists children_;
 };
 
 // ---------------------------------------------------------------------------
@@ -98,10 +113,12 @@ class BfsProgram final : public VertexProgram {
   void encode_state(VertexId begin, VertexId end, std::vector<std::uint8_t>& out) const override;
   void decode_state(VertexId begin, VertexId end, std::span<const std::uint8_t> bytes) override;
 
+  /// Sized by setup().
   std::vector<VertexId> parent;
   std::vector<EdgeId> parent_edge;
 
  private:
+  int n_;
   VertexId root_;
   const Graph* g_ = nullptr;
   std::vector<std::uint8_t> joined_;
@@ -198,16 +215,26 @@ class KeyedUpcastProgram final : public ForestProgramBase {
 
   bool ancestor_mode_;
   std::vector<std::vector<KeyedItem>> items_;  // inputs (consumed by setup)
-  std::vector<std::map<std::uint64_t, ItemValue>> pending_;
-  std::vector<std::multiset<std::int64_t>> frontiers_;
-  std::vector<std::unordered_map<VertexId, std::int64_t>> child_frontier_;
+  // Node storage of the per-vertex pending maps and frontier multisets. A
+  // node freed by one message is reused by the next, so merging and
+  // frontier updates do not reach the global heap per message.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::vector<std::pmr::map<std::uint64_t, ItemValue>> pending_{&pool_};
+  std::pmr::vector<std::pmr::multiset<std::int64_t>> frontiers_{&pool_};
+  // Indexed by child id (every vertex has one parent): the last key child c
+  // streamed, and whether c's stream is still open.
+  std::vector<std::int64_t> child_front_;
+  std::vector<std::uint8_t> child_live_;
   std::vector<int> live_children_;
   std::vector<std::uint8_t> eos_sent_;
 };
 
 /// Root list streamed down a single-root tree, one item per round per edge,
 /// with an end-of-stream marker wave behind the last item so every vertex
-/// learns the stream ended.
+/// learns the stream ended. The list is part of the spec every executor
+/// holds, so vertices keep no copy: each counts its arrivals and checks every
+/// arriving item against list()[count]. After execute, count[v] == the list
+/// length at every vertex of the root's tree (the root included).
 class PipelinedBroadcastProgram final : public ForestProgramBase {
  public:
   PipelinedBroadcastProgram(ForestData f, VertexId root, std::vector<KeyedItem> list);
@@ -215,6 +242,7 @@ class PipelinedBroadcastProgram final : public ForestProgramBase {
   std::uint32_t program_id() const override {
     return static_cast<std::uint32_t>(ProgramId::kPipelinedBroadcast);
   }
+  void setup(const Graph& g) override;
   bool starts_active(VertexId v) const override { return v == root_ && !kids(v).empty(); }
   void step(VertexId v, int round, std::span<const Delivery> inbox, Outbox& out) override;
   void finish_range(VertexId begin, VertexId end) override;
@@ -224,7 +252,10 @@ class PipelinedBroadcastProgram final : public ForestProgramBase {
   void encode_state(VertexId begin, VertexId end, std::vector<std::uint8_t>& out) const override;
   void decode_state(VertexId begin, VertexId end, std::span<const std::uint8_t> bytes) override;
 
-  std::vector<std::vector<KeyedItem>> received;
+  const std::vector<KeyedItem>& list() const { return list_; }
+
+  /// Items each vertex received so far, all checked against the list.
+  std::vector<std::uint32_t> count;
 
  private:
   VertexId root_;
@@ -243,7 +274,7 @@ class PathDowncastProgram final : public ForestProgramBase {
   }
   void setup(const Graph& g) override;
   bool starts_active(VertexId v) const override {
-    return !is_root(v) && !contig_kids_[static_cast<std::size_t>(v)].empty();
+    return !is_root(v) && !contig_kids_.of(v).empty();
   }
   void step(VertexId v, int round, std::span<const Delivery> inbox, Outbox& out) override;
   void encode_spec(std::vector<std::uint8_t>& out) const override;
@@ -259,7 +290,7 @@ class PathDowncastProgram final : public ForestProgramBase {
   // Children in the *same forest tree* (depth(c) == depth(v) + 1): the
   // ancestor stream never crosses a segment boundary even though the parent
   // links do.
-  std::vector<std::vector<VertexId>> contig_kids_;
+  ChildLists contig_kids_;
 };
 
 /// Simultaneous payload exchange across selected edges, one word per round

@@ -357,8 +357,7 @@ std::vector<std::optional<Winner>> TapEngine::winner_passes(
     auto fin = keyed_min_upcast(net_, bfs_, std::move(lr));
     std::vector<std::vector<KeyedItem>> root_items(static_cast<std::size_t>(n));
     root_items[static_cast<std::size_t>(root_)] = fin[static_cast<std::size_t>(root_)];
-    auto everywhere = pipelined_broadcast(net_, bfs_, std::move(root_items));
-    for (const KeyedItem& it : everywhere[static_cast<std::size_t>(root_)])
+    for (const KeyedItem& it : pipelined_broadcast(net_, bfs_, std::move(root_items)))
       best_lr_[static_cast<std::size_t>(it.key)] = Winner{it.prio, static_cast<EdgeId>(it.payload)};
   }
 

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <string>
 
+#include "congest/distributed_engine.hpp"
 #include "congest/network.hpp"
 #include "congest/primitives.hpp"
+#include "congest/programs.hpp"
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
+#include "net/transport.hpp"
+#include "net/wire.hpp"
 
 namespace deck {
 namespace {
@@ -145,17 +151,182 @@ TEST(PathDowncast, EveryVertexLearnsProperAncestors) {
 }
 
 TEST(PipelinedBroadcast, AllVerticesGetList) {
-  Graph g = hypercube(4);
-  Network net(g);
-  RootedTree t = distributed_bfs(net, 0);
-  const CommForest f = CommForest::from_tree(t);
-  std::vector<std::vector<KeyedItem>> root_items(16);
+  // Every vertex checks each arrival against the root's list and the
+  // wrapper checks that every vertex counted the whole list, so a returned
+  // list equal to the root's means every vertex received exactly it.
+  const Graph g = hypercube(4);
+  std::vector<KeyedItem> list;
   for (int i = 0; i < 7; ++i)
-    root_items[0].push_back(KeyedItem{static_cast<std::uint64_t>(i), 0, 0});
-  net.reset_counters();
-  const auto got = pipelined_broadcast(net, f, root_items);
-  for (VertexId v = 0; v < 16; ++v) EXPECT_EQ(got[static_cast<std::size_t>(v)].size(), 7u);
-  EXPECT_LE(net.rounds(), static_cast<std::uint64_t>(t.height() + 7));
+    list.push_back(KeyedItem{static_cast<std::uint64_t>(i), static_cast<std::uint64_t>(20 - i),
+                             static_cast<std::uint64_t>(i * i)});
+  const auto run = [&](Network& net) {
+    const RootedTree t = distributed_bfs(net, 0);
+    const CommForest f = CommForest::from_tree(t);
+    std::vector<std::vector<KeyedItem>> root_items(16);
+    root_items[0] = list;
+    net.reset_counters();
+    EXPECT_EQ(pipelined_broadcast(net, f, std::move(root_items)), list);
+    EXPECT_EQ(net.rounds(), static_cast<std::uint64_t>(t.height() + 7));
+  };
+  Network seq(g);
+  run(seq);
+  CongestWorkerFleet fleet(2);
+  Network fleet_net(g, fleet.hub());
+  run(fleet_net);
+}
+
+// A spec arrives over the wire on the net backend, so every defect in one
+// must fail decode_congest_program + setup with NetError, never with a
+// logic_error or by indexing out of range.
+TEST(ProgramSpec, MalformedSpecsFailWithNetError) {
+  const Graph g = hypercube(3);
+  Network net(g);
+  const ForestData forest =
+      ForestData::from_comm_forest(CommForest::from_tree(distributed_bfs(net, 0)));
+  const auto n = static_cast<std::uint32_t>(g.num_vertices());
+  using Bytes = std::vector<std::uint8_t>;
+  const auto words = [](Bytes& out, std::uint32_t count) {
+    net::put_u32(out, count);
+    for (std::uint32_t i = 0; i < count; ++i) net::put_u64(out, i);
+  };
+  const auto items = [](Bytes& out, std::uint32_t count) {
+    net::put_u32(out, count);
+    for (std::uint32_t i = 0; i < count; ++i)
+      for (int w = 0; w < 3; ++w) net::put_u64(out, i);
+  };
+  const auto bfs = [](std::uint32_t nn, std::uint32_t root) {
+    Bytes b;
+    net::put_u32(b, nn);
+    net::put_u32(b, root);
+    return b;
+  };
+  const auto convergecast = [&](const ForestData& f, std::uint32_t op, std::uint32_t len) {
+    Bytes b;
+    f.encode(b);
+    net::put_u32(b, op);
+    words(b, len);
+    return b;
+  };
+  const auto broadcast = [&](const ForestData& f, std::uint32_t len) {
+    Bytes b;
+    f.encode(b);
+    words(b, len);
+    return b;
+  };
+  const auto path_downcast = [&](std::uint32_t len) {
+    Bytes b;
+    forest.encode(b);
+    items(b, len);
+    return b;
+  };
+  const auto pipelined = [&](std::uint32_t root) {
+    Bytes b;
+    forest.encode(b);
+    net::put_u32(b, root);
+    items(b, 3);
+    return b;
+  };
+  const auto exchange = [&](std::uint32_t nn, std::vector<std::uint32_t> edges) {
+    Bytes b;
+    net::put_u32(b, nn);
+    net::put_u32(b, static_cast<std::uint32_t>(edges.size()));
+    for (std::uint32_t e : edges) net::put_u32(b, e);
+    for (std::size_t i = 0; i < 2 * edges.size(); ++i) words(b, 1);
+    return b;
+  };
+  ForestData bigger = forest;  // one vertex more than the graph
+  bigger.parent.push_back(0);
+  bigger.depth.push_back(1);
+  ForestData off_graph = forest;  // 7 is not a neighbour of 0 in Q3
+  off_graph.parent[7] = 0;
+  off_graph.depth[7] = 1;
+  ForestData skewed = forest;  // a depth that is not the parent's plus one
+  skewed.depth[7] += 1;
+
+  struct Case {
+    std::string what;
+    ProgramId id;
+    Bytes spec;
+    bool valid;
+  };
+  const std::vector<Case> cases = {
+      {"bfs", ProgramId::kBfs, bfs(n, 0), true},
+      {"bfs n + 1", ProgramId::kBfs, bfs(n + 1, 0), false},
+      {"bfs n = 2^32 - 1", ProgramId::kBfs, bfs(0xFFFFFFFFu, 0), false},
+      {"bfs n = 2^31 - 1", ProgramId::kBfs, bfs(0x7FFFFFFFu, 0), false},
+      {"convergecast", ProgramId::kConvergecast, convergecast(forest, 1, n), true},
+      {"convergecast value list n - 1", ProgramId::kConvergecast,
+       convergecast(forest, 1, n - 1), false},
+      {"convergecast unknown CombineOp", ProgramId::kConvergecast, convergecast(forest, 99, n),
+       false},
+      {"convergecast CombineOp 0", ProgramId::kConvergecast, convergecast(forest, 0, n), false},
+      {"convergecast depth not the parent's plus one", ProgramId::kConvergecast,
+       convergecast(skewed, 1, n), false},
+      {"broadcast", ProgramId::kBroadcast, broadcast(forest, n), true},
+      {"broadcast value list n + 1", ProgramId::kBroadcast, broadcast(forest, n + 1), false},
+      {"broadcast forest larger than the graph", ProgramId::kBroadcast,
+       broadcast(bigger, n + 1), false},
+      {"broadcast forest edge not a graph edge", ProgramId::kBroadcast, broadcast(off_graph, n),
+       false},
+      {"path_downcast", ProgramId::kPathDowncast, path_downcast(n), true},
+      {"path_downcast own list n - 1", ProgramId::kPathDowncast, path_downcast(n - 1), false},
+      {"pipelined_broadcast", ProgramId::kPipelinedBroadcast, pipelined(0), true},
+      {"pipelined_broadcast root out of range", ProgramId::kPipelinedBroadcast, pipelined(n),
+       false},
+      {"pipelined_broadcast root -1", ProgramId::kPipelinedBroadcast, pipelined(0xFFFFFFFFu),
+       false},
+      {"pipelined_broadcast root not a forest root", ProgramId::kPipelinedBroadcast,
+       pipelined(3), false},
+      {"edge_exchange", ProgramId::kEdgeExchange, exchange(n, {0, 1}), true},
+      {"edge_exchange duplicate edge", ProgramId::kEdgeExchange, exchange(n, {1, 0, 1}), false},
+      {"edge_exchange n + 1", ProgramId::kEdgeExchange, exchange(n + 1, {0, 1}), false},
+  };
+  for (const Case& c : cases) {
+    const auto decode_and_setup = [&] {
+      const auto prog =
+          decode_congest_program(static_cast<std::uint32_t>(c.id), std::span(c.spec));
+      prog->setup(g);
+    };
+    if (c.valid) {
+      EXPECT_NO_THROW(decode_and_setup()) << c.what;
+    } else {
+      EXPECT_THROW(decode_and_setup(), NetError) << c.what;
+    }
+  }
+}
+
+// The per-vertex counts a pipelined broadcast ships as outputs and
+// checkpoint state: a count above the list length or a short blob is a
+// typed error.
+TEST(PipelinedBroadcast, CountBlobsRejectOverlongCountsAndTruncation) {
+  const Graph g = hypercube(3);
+  Network net(g);
+  const CommForest f = CommForest::from_tree(distributed_bfs(net, 0));
+  const std::vector<KeyedItem> list{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
+  PipelinedBroadcastProgram prog(ForestData::from_comm_forest(f), 0, list);
+  prog.setup(g);
+  const int n = g.num_vertices();
+  const auto blob = [&](std::uint32_t last) {
+    std::vector<std::uint8_t> b;
+    for (int v = 0; v + 1 < n; ++v) net::put_u32(b, 3);
+    net::put_u32(b, last);
+    return b;
+  };
+  using Decode = std::function<void(std::span<const std::uint8_t>)>;
+  const std::vector<std::pair<std::string, Decode>> decoders = {
+      {"outputs", [&](std::span<const std::uint8_t> b) { prog.decode_outputs(0, n, b); }},
+      {"state", [&](std::span<const std::uint8_t> b) { prog.decode_state(0, n, b); }},
+  };
+  for (const auto& [what, decode] : decoders) {
+    const std::vector<std::uint8_t> full = blob(3);
+    EXPECT_NO_THROW(decode(full)) << what;
+    EXPECT_EQ(prog.count[static_cast<std::size_t>(n - 1)], 3u) << what;
+    EXPECT_THROW(decode(blob(4)), NetError) << what << ": count above the list length";
+    EXPECT_THROW(decode(blob(0xFFFFFFFFu)), NetError) << what << ": count 2^32 - 1";
+    for (std::size_t len = 0; len < full.size(); ++len)
+      EXPECT_THROW(decode(std::span(full).first(len)), NetError)
+          << what << ": truncated to " << len << " bytes";
+  }
 }
 
 TEST(EdgeExchange, SwapsPayloadsAndChargesMaxLength) {

@@ -537,15 +537,19 @@ TEST(Failover, EveryPrimitiveProgramRestoresItsStateMidPhase) {
     return d;
   });
   prims.emplace_back("pipelined-broadcast", [&](Network& net) {
+    // Runs the program itself rather than the wrapper so the digest sees
+    // the per-vertex counts a mid-broadcast restore has to bring back.
     const CommForest f = forest_of(net);
-    std::vector<std::vector<KeyedItem>> root_items(static_cast<std::size_t>(net.n()));
+    std::vector<KeyedItem> list;
     for (int i = 0; i < 5; ++i)
-      root_items[0].push_back(KeyedItem{static_cast<std::uint64_t>(i),
-                                        static_cast<std::uint64_t>(9 - i),
-                                        static_cast<std::uint64_t>(i * i)});
+      list.push_back(KeyedItem{static_cast<std::uint64_t>(i), static_cast<std::uint64_t>(9 - i),
+                               static_cast<std::uint64_t>(i * i)});
+    PipelinedBroadcastProgram prog(ForestData::from_comm_forest(f), 0, std::move(list));
+    const ExecStats stats = net.engine().execute(prog);
+    net.charge(stats.rounds, stats.messages);
     Digest d;
-    for (const auto& got : pipelined_broadcast(net, f, std::move(root_items)))
-      fold_items(d, got);
+    fold_items(d, prog.list());
+    for (std::uint32_t got : prog.count) fold(d, got);
     return d;
   });
   prims.emplace_back("path-downcast", [&](Network& net) {
