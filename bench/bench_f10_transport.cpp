@@ -14,9 +14,9 @@
 // Per row we report wire bytes, message count, deterministic peak staging
 // bytes (gated), and wall-clock ship+merge time (volatile, never gated).
 // Exactness is verified on every row: the composed bank's serialized bytes
-// equal the single-process sharded bank's, and the recovered certificate
-// matches edge for edge. A machine-readable JSON document follows the
-// tables; the bench-regression CI gate diffs the deterministic fields
+// equal the single-process bank's, and the recovered certificate matches
+// deck::ingest()'s edge for edge. A machine-readable JSON document follows
+// the tables; the bench-regression CI gate diffs the deterministic fields
 // against bench/baselines/f10_transport.json.
 
 #include <chrono>
@@ -30,9 +30,10 @@
 #include "bench_common.hpp"
 #include "graph/edge_connectivity.hpp"
 #include "net/transport.hpp"
-#include "sketch/shard.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
+#include "sketch_ingest.hpp"
 
 using namespace deck;
 
@@ -137,11 +138,10 @@ int main(int argc, char** argv) {
 
     // Single-process reference: the shipped-and-assembled bank and its
     // certificate must reproduce these exactly.
-    ShardOptions ref_opt;
-    ref_opt.shards = 1;
-    const std::vector<std::uint8_t> ref_bank =
-        encode_bank(apply_sharded(stream, sopt, ref_opt).sketch);
-    const SparsifyResult ref_cert = sharded_sparsify_stream(stream, k, sopt, ref_opt);
+    SketchConnectivity local(n, sopt);
+    bench::gutter_ingest(local, stream);
+    const std::vector<std::uint8_t> ref_bank = encode_bank(local);
+    const SparsifyResult ref_cert = ingest(stream, k, {.sketch = sopt});
     const bool cert_ok = ref_cert.certificate.num_edges() <= k * (n - 1) &&
                          is_k_edge_connected(ref_cert.certificate, k);
     all_ok = all_ok && cert_ok;

@@ -1,20 +1,22 @@
-// F15 — batched apply throughput: apply_sharded() vs the per-update loop.
+// F15 — batched apply throughput: the session's gutter path vs the
+// per-update loop.
 //
 // The f15 workload is a dense churned stream over a k-edge-connected graph,
-// ingested through apply_sharded() (every batch lands in
-// SketchConnectivity::apply_batch → L0Sampler::update_run) across batch
-// sizes {16, 64, 256, 1024} and shard counts {1, 4}. Per row we report
-// wall-clock ingestion throughput (best-of-R timed passes) and its speedup
-// over a timed loop of per-update SketchConnectivity::update calls on the
-// same stream (best-of-R too). Exactness is verified untimed on every row:
-// the composed bank's serialized bytes must equal the per-update loop's
-// (bit-identical sketch state). Exit status reflects only exactness —
-// throughput and speedup depend on the host (the AVX-512 update_run kernel
-// needs an AVX512F+DQ build machine and the DECK_SIMD build knob), so they
-// are reported, not gated. A machine-readable JSON document follows the
-// tables; the bench-regression CI gate diffs its deterministic fields
-// (bank bytes) against bench/baselines/f15_apply.json and fails on any
-// false identity flag.
+// ingested the way a GraphSession ingests it: gutters (the default layout)
+// flushing per-source runs into SketchConnectivity::apply_batch →
+// L0Sampler::update_run, drained at the end. The batch axis is the gutter
+// flush size, FlushPolicy::max_halves ∈ {16, 64, 256, 1024}. Per row we
+// report wall-clock ingestion throughput (bank construction included,
+// best-of-R timed passes) and its speedup over a timed loop of per-update
+// SketchConnectivity::update calls on the same stream (best-of-R too).
+// Exactness is verified untimed on every row: the bank's serialized bytes
+// must equal the per-update loop's (bit-identical sketch state). Exit
+// status reflects only exactness — throughput and speedup depend on the
+// host (the AVX-512 update_run kernel needs an AVX512F+DQ build machine and
+// the DECK_SIMD build knob), so they are reported, not gated. A
+// machine-readable JSON document follows the tables; the bench-regression
+// CI gate diffs its deterministic fields (bank bytes) against
+// bench/baselines/f15_apply.json and fails on any false identity flag.
 
 #include <algorithm>
 #include <chrono>
@@ -24,9 +26,9 @@
 
 #include "bench_common.hpp"
 #include "sketch/l0_sampler.hpp"
-#include "sketch/shard.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
+#include "sketch_ingest.hpp"
 
 using namespace deck;
 
@@ -54,6 +56,16 @@ SketchConnectivity update_loop_bank(const GraphStream& stream, const SketchOptio
   return bank;
 }
 
+/// The session's path: gutters flushing at `batch` halves into apply_batch.
+SketchConnectivity gutter_bank(const GraphStream& stream, const SketchOptions& sopt,
+                               std::size_t batch) {
+  SketchConnectivity bank(stream.num_vertices(), sopt);
+  GutterOptions gopt;
+  gopt.policy.max_halves = batch;
+  bench::gutter_ingest(bank, stream, gopt);
+  return bank;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,7 +78,6 @@ int main(int argc, char** argv) {
                                          : std::vector<int>{96, 160};
   const std::vector<std::size_t> batch_sizes =
       smoke ? std::vector<std::size_t>{64, 256} : std::vector<std::size_t>{16, 64, 256, 1024};
-  const std::vector<int> shard_counts = smoke ? std::vector<int>{1} : std::vector<int>{1, 4};
   const int reps = smoke ? 1 : 3;
   const int k = 2;
 
@@ -97,39 +108,31 @@ int main(int argc, char** argv) {
     std::printf("per-update loop, n = %d: %.2f ms (%.0f updates/s)\n", n, loop_ms,
                 updates / (loop_ms / 1000.0));
 
-    Table t({"shards", "batch", "updates", "ms", "updates/s", "speedup", "identical"});
-    for (int shards : shard_counts) {
-      for (std::size_t batch : batch_sizes) {
-        ShardOptions opt;
-        opt.shards = shards;
-        opt.batch_size = batch;
+    Table t({"batch", "updates", "ms", "updates/s", "speedup", "identical"});
+    for (std::size_t batch : batch_sizes) {
+      // Exactness first (untimed), then the timed passes.
+      const bool identical = encode_bank(gutter_bank(stream, sopt, batch)) == ref_bank;
+      all_ok = all_ok && identical;
 
-        // Exactness first (untimed), then the timed passes.
-        const bool identical = encode_bank(apply_sharded(stream, sopt, opt).sketch) == ref_bank;
-        all_ok = all_ok && identical;
-
-        const double ms = best_ms(reps, [&] { (void)apply_sharded(stream, sopt, opt); });
-        const double speedup = ms > 0 ? loop_ms / ms : 1.0;
-        if (batch >= 256) {
-          min_speedup_256 = have_speedup_256 ? std::min(min_speedup_256, speedup) : speedup;
-          have_speedup_256 = true;
-        }
-        t.add(shards, batch, stream.size(), ms, updates / (ms / 1000.0), speedup,
-              identical ? "yes" : "NO");
-
-        Json row = Json::object();
-        row.set("n", n)
-            .set("k", k)
-            .set("shards", shards)
-            .set("batch", static_cast<std::uint64_t>(batch))
-            .set("stream_updates", static_cast<std::uint64_t>(stream.size()))
-            .set("bank_bytes", static_cast<std::uint64_t>(ref_bank.size()))
-            .set("bank_identical_to_scalar", identical)
-            .set("ingest_ms", ms)
-            .set("updates_per_sec", updates / (ms / 1000.0))
-            .set("speedup_vs_update_loop", speedup);
-        rows.push(std::move(row));
+      const double ms = best_ms(reps, [&] { (void)gutter_bank(stream, sopt, batch); });
+      const double speedup = ms > 0 ? loop_ms / ms : 1.0;
+      if (batch >= 256) {
+        min_speedup_256 = have_speedup_256 ? std::min(min_speedup_256, speedup) : speedup;
+        have_speedup_256 = true;
       }
+      t.add(batch, stream.size(), ms, updates / (ms / 1000.0), speedup, identical ? "yes" : "NO");
+
+      Json row = Json::object();
+      row.set("n", n)
+          .set("k", k)
+          .set("batch", static_cast<std::uint64_t>(batch))
+          .set("stream_updates", static_cast<std::uint64_t>(stream.size()))
+          .set("bank_bytes", static_cast<std::uint64_t>(ref_bank.size()))
+          .set("bank_identical_to_scalar", identical)
+          .set("ingest_ms", ms)
+          .set("updates_per_sec", updates / (ms / 1000.0))
+          .set("speedup_vs_update_loop", speedup);
+      rows.push(std::move(row));
     }
     t.print("F15: batched apply, n = " + std::to_string(n) + ", k = " + std::to_string(k));
     std::printf("\n");

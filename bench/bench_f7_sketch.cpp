@@ -15,6 +15,7 @@
 #include "congest/network.hpp"
 #include "ecss/distributed_kecss.hpp"
 #include "graph/edge_connectivity.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
 
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
 
       SketchOptions sopt;
       sopt.seed = static_cast<std::uint64_t>(n) * 31 + static_cast<std::uint64_t>(k);
-      const SparsifyResult sp = sparsify_stream(stream, k, sopt);
+      const SparsifyResult sp = ingest(stream, k, {.sketch = sopt});
       const int bound = k * (n - 1);
       const bool cert_ok =
           sp.certificate.num_edges() <= bound && is_k_edge_connected(sp.certificate, k);

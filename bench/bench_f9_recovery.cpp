@@ -2,9 +2,9 @@
 // the adaptive-sizing path.
 //
 // The f9 workload is a churned dynamic stream over a k-edge-connected
-// graph. The bank is ingested once (sharded, untimed), then certificate
-// recovery — per-round supernode aggregation + ℓ₀ sampling over the
-// contraction forest — runs with threads ∈ {1, 2, 4, 8} on identical
+// graph. The bank is ingested once (parallel gutter drains, untimed),
+// then certificate recovery — per-round supernode aggregation + ℓ₀
+// sampling over the contraction forest — runs with threads ∈ {1, 2, 4, 8} on identical
 // copies of the bank. Per row we report recovery wall clock and speedup
 // over 1 thread; exactness is verified on every row by comparing the
 // recovered forests edge-for-edge (in order) against the 1-thread run —
@@ -27,9 +27,11 @@
 
 #include "bench_common.hpp"
 #include "graph/edge_connectivity.hpp"
-#include "sketch/shard.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
+#include "sketch_ingest.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace deck;
 
@@ -77,12 +79,14 @@ int main(int argc, char** argv) {
     SketchOptions sopt;
     sopt.seed = 9000 + static_cast<std::uint64_t>(n);
     sopt.max_forests = k;
-    ShardOptions shopt;
-    shopt.shards = 4;
+    ThreadPool drain_pool(4);
+    GutterOptions gopt;
+    gopt.pool = &drain_pool;
 
     // Ingest once (untimed — bench_f8 owns ingestion scaling); every thread
     // count recovers from a pristine copy of this bank.
-    const SketchConnectivity ingested = apply_sharded(stream, sopt, shopt).sketch;
+    SketchConnectivity ingested(n, sopt);
+    bench::gutter_ingest(ingested, stream, gopt);
 
     Table t({"threads", "recover_ms", "speedup", "identical", "m_cert", "copies", "rounds",
              "fail_rate"});
@@ -150,7 +154,7 @@ int main(int argc, char** argv) {
       const int threads = thread_counts.back();
       const auto start = std::chrono::steady_clock::now();
       const SparsifyResult sp =
-          sharded_sparsify_stream(stream, k, aopt, shopt, {.threads = threads});
+          ingest(stream, k, {.sketch = aopt, .recovery = {.threads = threads}, .gutter = gopt});
       const double ms = ms_since(start);
       const bool cert_ok = sp.certificate.num_edges() <= k * (n - 1) &&
                            (n > verify_limit || is_k_edge_connected(sp.certificate, k));

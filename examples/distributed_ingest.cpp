@@ -24,11 +24,12 @@
 // trace context the Start message carries (docs/tracing.md).
 //
 // The certificate is bit-identical to single-process sharded ingest
-// (deck::ingest() in IngestMode::kSharded) on the same seeded stream —
-// linearity makes any disjoint stream partition merge to the same bank,
-// and split_seed lets every process derive the same per-copy sampler seeds
-// with zero shared state. The 2-ECSS run on the DistributedEngine must match the sequential
-// engine edge for edge, round for round (the engine-identity property).
+// (deck::ingest() draining its gutters on a lent ThreadPool) on the same
+// seeded stream — linearity makes any disjoint stream partition merge to
+// the same bank, and split_seed lets every process derive the same
+// per-copy sampler seeds with zero shared state. The 2-ECSS run on the
+// DistributedEngine must match the sequential engine edge for edge, round
+// for round (the engine-identity property).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -54,6 +55,7 @@
 #include "serve/session.hpp"
 #include "sketch/stream.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace deck;
@@ -136,7 +138,6 @@ int main(int argc, char** argv) {
   // runs the Borůvka recovery fan-out; the session (and its pool) is gone
   // before the CONGEST workers are forked below.
   IngestOptions coordinated;
-  coordinated.mode = IngestMode::kCoordinated;
   coordinated.sketch = opt;
   coordinated.workers = raw;
   coordinated.coordinator.threads = 4;
@@ -164,11 +165,11 @@ int main(int argc, char** argv) {
 
   // The acceptance bar: the multi-process flow must equal single-process
   // sharded ingestion (and therefore sequential ingestion) edge for edge.
-  IngestOptions sharded;
-  sharded.mode = IngestMode::kSharded;
-  sharded.sketch = opt;
-  sharded.shard.shards = workers;
-  const SparsifyResult local = ingest(stream, k, sharded);
+  // The lent drain pool is gone before the CONGEST workers are forked.
+  const SparsifyResult local = [&] {
+    ThreadPool pool(workers);
+    return ingest(stream, k, {.sketch = opt, .gutter = {.pool = &pool}});
+  }();
   bool identical = local.certificate.num_edges() == remote.certificate.num_edges();
   if (identical)
     for (const Edge& e : local.certificate.edges())

@@ -1,8 +1,8 @@
 // Continuous query serving: a long-lived GraphSession ingests a live
 // insert/delete stream through the guttering stage while a SessionServer
 // answers certificate queries from concurrent remote clients — the
-// open → ingest → query → resume → close lifecycle that replaces the
-// one-shot sparsify_stream pipeline.
+// open → ingest → query → resume → close lifecycle of GraphSession, the one
+// ingest entry point (deck::ingest() is its one-call form).
 //
 //   cmake -B build -G Ninja && cmake --build build && ./build/serve_queries
 

@@ -24,6 +24,7 @@
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 int main() {
   using namespace deck;
@@ -70,13 +71,11 @@ int main() {
   std::printf("certificate: %d edges (bound %d), %d-edge-connected: %s\n", cert.num_edges(),
               k * (n - 1), k, cert_ok ? "yes" : "NO");
 
-  // Sanity: the distributed flow must equal the in-process sharded flow
-  // (and therefore the sequential one) edge for edge.
-  IngestOptions sharded;
-  sharded.mode = IngestMode::kSharded;
-  sharded.sketch = opt;
-  sharded.shard.shards = machines;
-  const SparsifyResult local = ingest(stream, k, sharded);
+  // Sanity: the distributed flow must equal the in-process sharded flow —
+  // a session whose gutters drain in parallel on a lent pool, one thread
+  // per machine (and therefore the sequential one) — edge for edge.
+  ThreadPool pool(machines);
+  const SparsifyResult local = ingest(stream, k, {.sketch = opt, .gutter = {.pool = &pool}});
   bool identical = local.certificate.num_edges() == cert.num_edges();
   if (identical)
     for (const Edge& e : local.certificate.edges())

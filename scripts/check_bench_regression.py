@@ -49,7 +49,7 @@ GATES = {
         "metrics": ("m_certificate", "rounds_sparsified"),
     },
     "f8_shard": {
-        "key": ("n", "k", "mode", "shards"),
+        "key": ("n", "k", "shards"),
         "metrics": ("m_certificate", "sketch_copies_used"),
     },
     # Recovery identity values: the certificate size and the copies recovery
@@ -114,7 +114,7 @@ GATES = {
     # encoded bank size is deterministic; throughput and the speedup over
     # the per-update loop are host-dependent and never gated.
     "f15_apply": {
-        "key": ("n", "shards", "batch"),
+        "key": ("n", "batch"),
         "metrics": ("bank_bytes",),
     },
     # Net-engine round wire cost: coordinator wire bytes are deterministic

@@ -90,14 +90,18 @@ std::vector<char> Dinic::min_cut_side(VertexId s) const {
   return side;
 }
 
-std::int64_t st_edge_connectivity(const Graph& g, const std::vector<char>& in_subgraph,
-                                  VertexId s, VertexId t) {
+Dinic unit_network(const Graph& g, const std::vector<char>& in_subgraph) {
   Dinic d(g.num_vertices());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (!in_subgraph[static_cast<std::size_t>(e)]) continue;
     d.add_undirected(g.edge(e).u, g.edge(e).v, 1);
   }
-  return d.max_flow(s, t);
+  return d;
+}
+
+std::int64_t st_edge_connectivity(const Graph& g, const std::vector<char>& in_subgraph,
+                                  VertexId s, VertexId t) {
+  return unit_network(g, in_subgraph).max_flow(s, t);
 }
 
 }  // namespace deck

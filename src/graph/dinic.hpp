@@ -46,6 +46,11 @@ class Dinic {
   std::vector<std::size_t> it_;
 };
 
+/// The subgraph of g selected by in_subgraph as a flow network, every edge
+/// a pair of unit-capacity arcs. max_flow resets every arc first, so one
+/// network answers any number of s-t queries.
+Dinic unit_network(const Graph& g, const std::vector<char>& in_subgraph);
+
 /// lambda(s,t) of the subgraph of g selected by in_subgraph, with unit
 /// capacities (i.e. the number of edge-disjoint s-t paths).
 std::int64_t st_edge_connectivity(const Graph& g, const std::vector<char>& in_subgraph,

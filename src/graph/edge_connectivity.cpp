@@ -12,9 +12,10 @@ int edge_connectivity(const Graph& g, const std::vector<char>& in_subgraph) {
   const int n = g.num_vertices();
   if (n < 2) return 0;
   if (!is_spanning_connected(g, in_subgraph)) return 0;
+  Dinic network = unit_network(g, in_subgraph);
   int lambda = g.num_edges();  // upper bound
   for (VertexId t = 1; t < n; ++t) {
-    lambda = std::min(lambda, static_cast<int>(st_edge_connectivity(g, in_subgraph, 0, t)));
+    lambda = std::min(lambda, static_cast<int>(network.max_flow(0, t)));
     if (lambda == 0) break;
   }
   return lambda;
@@ -37,8 +38,9 @@ bool is_k_edge_connected(const Graph& g, const std::vector<char>& in_subgraph, i
   }
   for (int d : deg)
     if (d < k) return false;
+  Dinic network = unit_network(g, in_subgraph);
   for (VertexId t = 1; t < g.num_vertices(); ++t) {
-    if (st_edge_connectivity(g, in_subgraph, 0, t) < k) return false;
+    if (network.max_flow(0, t) < k) return false;
   }
   return true;
 }

@@ -105,8 +105,8 @@ void run_ingest_worker(Transport& coordinator, const GraphStream& stream, std::u
     // the stream merge to the bank a single ingester would build, and
     // split_seed derives the per-copy seeds from the options alone, so no
     // further coordination is needed. The slice is regrouped into
-    // per-source runs (apply_batched's discipline, inlined — a slice of
-    // deletes is not a valid GraphStream on its own) and applied with
+    // per-source runs of at most batch_halves halves (full runs as they
+    // fill, remainders in source order at the end) and applied with
     // SketchConnectivity::apply_batch.
     DECK_CHECK(wopt.batch_halves >= 1);
     const SketchOptions aopt = decode_attempt(r);

@@ -21,11 +21,12 @@
 //                       (repeat per adaptive attempt)
 //                       ◄──────────────    Shutdown
 //
-// The attempt loop is the same recover_certificate() driver behind
-// sparsify_stream()/sharded_sparsify_stream(): with auto-sizing enabled the
-// coordinator broadcasts each attempt's grown sizing and workers re-ingest,
-// so the distributed flow is bit-identical to the single-process paths for
-// fixed seeds — any worker count, any chunking.
+// The coordinator side runs inside a coordinated GraphSession
+// (serve/session.hpp: IngestOptions::workers non-empty), whose queries drive
+// the same recover_certificate() attempt loop as a local session: with
+// auto-sizing enabled the coordinator broadcasts each attempt's grown sizing
+// and workers re-ingest, so the distributed flow is bit-identical to a local
+// session for fixed seeds — any worker count, any chunking.
 //
 // Protocol violations, transport faults, and corrupt chunks raise NetError
 // / SketchIoError on the side that detects them; nothing is ever silently
@@ -56,9 +57,8 @@ struct IngestWorkerOptions {
   int vertices_per_chunk = 0;
   std::size_t target_chunk_bytes = 64 * 1024;
   /// Directed halves buffered per source vertex before the buffered run is
-  /// batch-applied to the worker's bank (the apply_batched regrouping,
-  /// inlined here because a slice of deletes may not be a valid GraphStream
-  /// on its own).
+  /// batch-applied to the worker's bank (SketchConnectivity::apply_batch;
+  /// any regrouping builds the same bank by linearity).
   std::size_t batch_halves = 1024;
 };
 
@@ -76,9 +76,8 @@ struct IngestCoordinatorOptions {
   int threads = 1;
 };
 
-/// Coordinator-side building blocks, shared by the GraphSession facade
-/// (serve/session.hpp — its kCoordinated mode drives them once per query)
-/// and the deprecated coordinated_sparsify() wrapper.
+/// Coordinator-side building blocks of a coordinated GraphSession
+/// (serve/session.hpp), which drives them once per query.
 ///
 /// Validates every worker's Hello against the fleet (ids distinct and in
 /// range, vertex counts agree) — call once per session, before the first
@@ -95,18 +94,5 @@ SketchConnectivity coordinated_ingest_attempt(const std::vector<Transport*>& wor
 /// faults (the error-path variant — some workers may already be gone);
 /// otherwise the first fault propagates.
 void shutdown_ingest_workers(const std::vector<Transport*>& workers, bool best_effort = false);
-
-/// DEPRECATED wrapper over GraphSession (serve/session.hpp): opens a
-/// kCoordinated session, queries once, and closes — validating each
-/// worker's Hello, broadcasting per-attempt SketchOptions, assembling the
-/// chunk streams into the global bank, recovering the k forests, and
-/// shutting the workers down. The result (certificate, forests, telemetry)
-/// is bit-identical to sharded_sparsify_stream()/sparsify_stream() on the
-/// same stream and options, for any worker count and chunk size. Throws
-/// NetError on transport/protocol faults and SketchIoError on corrupt or
-/// inconsistent chunk streams. New code should open a GraphSession.
-SparsifyResult coordinated_sparsify(const std::vector<Transport*>& workers, int n, int k,
-                                    const SketchOptions& opt,
-                                    const IngestCoordinatorOptions& copt = {});
 
 }  // namespace deck

@@ -40,8 +40,8 @@ GutteringSystem::GutteringSystem(int n, const GutterOptions& opt, Applier apply)
 
 int GutteringSystem::gutter_of(VertexId src) const {
   DECK_ASSERT(src >= 0 && src < n_);
-  // Contiguous vertex ranges, the cache-friendly kVertexRange assignment:
-  // a gutter's flush touches one contiguous slice of the bank.
+  // Contiguous vertex ranges: a gutter's flush touches one contiguous
+  // slice of the bank.
   return static_cast<int>(static_cast<std::int64_t>(src) * num_gutters() / std::max(1, n_));
 }
 

@@ -20,8 +20,8 @@
 // amortization knob, not a correctness one). drain() flushes everything,
 // fanning independent gutters out over a ThreadPool when one is lent:
 // gutters cover disjoint source-vertex ranges, so parallel flushes write
-// disjoint slices of the bank — the same disjoint-ownership argument as
-// static sharding (sketch/shard.hpp).
+// disjoint slices of the bank. A lent pool's drains are the one sharded
+// ingest path of a GraphSession (IngestOptions::gutter.pool).
 //
 // Correctness never depends on the policy: sketch linearity makes any
 // regrouping of updates merge to the bit-identical bank a direct in-order
@@ -58,7 +58,7 @@ struct GutterOptions {
   /// gutter per flush worker (4 per pool thread, clamped to [1, n]) so
   /// drain() keeps the pool busy.
   int num_gutters = 0;
-  FlushPolicy policy;
+  FlushPolicy policy{};
   /// Pool drain() fans gutter flushes out on (disjoint vertex ranges, so no
   /// synchronization is needed). Null flushes inline. Push-triggered
   /// flushes always run inline on the pushing thread — they are the

@@ -39,8 +39,8 @@ void put_error(std::vector<std::uint8_t>& out, ServeErrorCode code, const std::s
 }  // namespace
 
 SessionServer::SessionServer(GraphSession& session) : session_(session) {
-  DECK_CHECK_MSG(session.options().mode != IngestMode::kCoordinated,
-                 "the serve protocol carries per-update ingest — serve a local-mode session");
+  DECK_CHECK_MSG(!session.coordinated(),
+                 "the serve protocol carries per-update ingest — serve a local session");
 }
 
 bool SessionServer::handle(std::span<const std::uint8_t> request,

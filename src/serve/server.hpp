@@ -9,8 +9,8 @@
 // all mutating/querying the single shared session under one mutex — the
 // session itself is single-threaded. Interleaving across clients is
 // arbitrary, but sketch linearity makes the live bank depend only on the
-// *set* of applied updates, so any query is bit-identical to a one-shot
-// sparsify_stream over some serial order of the updates applied so far.
+// *set* of applied updates, so any query is bit-identical to a fresh
+// deck::ingest() of some serial order of the updates applied so far.
 //
 // Fault discipline: a request the server cannot honor draws an Error frame
 // and the connection stays open — one client's malformed frame or invalid

@@ -42,24 +42,17 @@ GraphSession::GraphSession(int n, int k, IngestOptions opt)
   DECK_CHECK(n >= 0);
   DECK_CHECK(k >= 1);
   DECK_CHECK(opt_.recovery.threads >= 1);
-  if (opt_.mode == IngestMode::kCoordinated) {
-    DECK_CHECK_MSG(!opt_.workers.empty(), "a coordinated session needs worker transports");
+  if (coordinated()) {
     for (Transport* t : opt_.workers) DECK_CHECK(t != nullptr);
     DECK_CHECK(opt_.coordinator.threads >= 1);
     return;  // no live bank — the workers own the stream
   }
-  DECK_CHECK_MSG(opt_.workers.empty(), "worker transports are a kCoordinated-mode option");
-  if (opt_.mode == IngestMode::kSharded) {
-    DECK_CHECK(opt_.shard.shards >= 1);
-    DECK_CHECK(opt_.shard.batch_size >= 1);
-  }
   bank_.emplace(n_, live_bank_options());
   // Gutter flushes apply each per-source run straight to the live bank.
-  // Parallel drains are safe: gutters own disjoint source ranges, and
-  // apply_batch for distinct sources touches disjoint sketch arrays.
-  GutterOptions gopt = opt_.gutter;
-  if (gopt.pool == nullptr) gopt.pool = drain_pool();
-  gutters_.emplace(n_, gopt, [this](VertexId src, std::span<const VertexDelta> deltas) {
+  // Parallel drains on a lent gutter.pool are safe: gutters own disjoint
+  // source ranges, and apply_batch for distinct sources touches disjoint
+  // sketch arrays.
+  gutters_.emplace(n_, opt_.gutter, [this](VertexId src, std::span<const VertexDelta> deltas) {
     bank_->apply_batch(src, deltas);
   });
 }
@@ -70,15 +63,7 @@ GraphSession::~GraphSession() {
   // Destructor variant of close(): never throws. Local gutters need no
   // drain (no observer of the live bank remains); coordinated workers get
   // a best-effort Shutdown so they exit instead of blocking forever.
-  if (opt_.mode == IngestMode::kCoordinated)
-    shutdown_ingest_workers(opt_.workers, /*best_effort=*/true);
-}
-
-ThreadPool* GraphSession::drain_pool() {
-  if (opt_.mode != IngestMode::kSharded) return nullptr;
-  if (opt_.shard.pool != nullptr) return opt_.shard.pool;
-  if (owned_pool_ == nullptr) owned_pool_ = std::make_unique<ThreadPool>(opt_.shard.shards);
-  return owned_pool_.get();
+  if (coordinated()) shutdown_ingest_workers(opt_.workers, /*best_effort=*/true);
 }
 
 SketchOptions GraphSession::live_bank_options() const {
@@ -99,8 +84,8 @@ SketchOptions GraphSession::live_bank_options() const {
 void GraphSession::check_open() const { DECK_CHECK_MSG(!closed_, "session is closed"); }
 
 void GraphSession::check_local(const char* what) const {
-  DECK_CHECK_MSG(opt_.mode != IngestMode::kCoordinated,
-                 what << " is unavailable in kCoordinated mode — the workers own the stream");
+  DECK_CHECK_MSG(!coordinated(),
+                 what << " is unavailable in a coordinated session — the workers own the stream");
 }
 
 void GraphSession::insert(VertexId u, VertexId v) { apply({u, v, /*insert=*/true}); }
@@ -195,8 +180,7 @@ SparsifyResult GraphSession::query(int k) {
   obs::Span span("serve.query");
   span.arg("k", static_cast<std::uint64_t>(k));
   const std::uint64_t start = obs::enabled() ? obs::now_ns() : 0;
-  SparsifyResult result = opt_.mode == IngestMode::kCoordinated ? query_coordinated(k)
-                                                                : query_local(k);
+  SparsifyResult result = coordinated() ? query_coordinated(k) : query_local(k);
   ++stats_.queries;
   if (obs::enabled()) {
     SessionMetrics& m = SessionMetrics::get();
@@ -219,8 +203,9 @@ SparsifyResult GraphSession::query_local(int k) {
 }
 
 SparsifyResult GraphSession::query_coordinated(int k) {
-  if (owned_pool_ == nullptr) owned_pool_ = std::make_unique<ThreadPool>(opt_.coordinator.threads);
-  ThreadPool& pool = *owned_pool_;
+  if (coordinator_pool_ == nullptr)
+    coordinator_pool_ = std::make_unique<ThreadPool>(opt_.coordinator.threads);
+  ThreadPool& pool = *coordinator_pool_;
   try {
     if (!roster_validated_) {
       validate_ingest_roster(opt_.workers, n_);
@@ -252,7 +237,7 @@ SparsifyResult GraphSession::query_coordinated(int k) {
 void GraphSession::close() {
   if (closed_) return;
   closed_ = true;
-  if (opt_.mode == IngestMode::kCoordinated) {
+  if (coordinated()) {
     shutdown_ingest_workers(opt_.workers, /*best_effort=*/false);
     return;
   }
@@ -266,50 +251,11 @@ SessionStats GraphSession::stats() const {
 }
 
 SparsifyResult ingest(const GraphStream& stream, int k, const IngestOptions& opt) {
-  DECK_CHECK_MSG(opt.mode != IngestMode::kCoordinated,
+  DECK_CHECK_MSG(opt.workers.empty(),
                  "coordinated ingest reads the workers' streams — open a GraphSession instead");
   GraphSession session(stream.num_vertices(), k, opt);
   session.ingest(stream);
   SparsifyResult result = session.query();
-  session.close();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated one-shot wrappers. Declared in sketch/sketch_connectivity.hpp,
-// sketch/shard.hpp, and net/ingest.hpp; defined here so the lower layers
-// never include serve/ headers. Each is property-tested bit-identical to
-// its pre-facade implementation (tests/test_serve.cpp, plus the original
-// suites, which still run against these names).
-
-SparsifyResult sparsify_stream(const GraphStream& stream, int k, const SketchOptions& opt,
-                               const RecoveryOptions& ropt) {
-  IngestOptions io;
-  io.sketch = opt;
-  io.recovery = ropt;
-  return ingest(stream, k, io);
-}
-
-SparsifyResult sharded_sparsify_stream(const GraphStream& stream, int k, const SketchOptions& sopt,
-                                       const ShardOptions& opt, const RecoveryOptions& ropt) {
-  IngestOptions io;
-  io.mode = IngestMode::kSharded;
-  io.sketch = sopt;
-  io.recovery = ropt;
-  io.shard = opt;
-  return ingest(stream, k, io);
-}
-
-SparsifyResult coordinated_sparsify(const std::vector<Transport*>& workers, int n, int k,
-                                    const SketchOptions& opt,
-                                    const IngestCoordinatorOptions& copt) {
-  IngestOptions io;
-  io.mode = IngestMode::kCoordinated;
-  io.sketch = opt;
-  io.workers = workers;
-  io.coordinator = copt;
-  GraphSession session(n, k, io);
-  SparsifyResult result = session.query(k);
   session.close();
   return result;
 }

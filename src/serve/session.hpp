@@ -1,9 +1,9 @@
 #pragma once
 
 // GraphSession — the long-lived session facade over the streaming
-// sparsification pipeline, and the single entry point the three historical
-// one-shot drivers (sparsify_stream, sharded_sparsify_stream,
-// coordinated_sparsify) are now thin wrappers over.
+// sparsification pipeline, and the one way to build a Thurimella
+// certificate from an update stream (deck::ingest() below is its one-call
+// form: open, bulk-ingest, query once, close).
 //
 // Lifecycle: open → insert/delete (or bulk ingest) → query(k) → resume →
 // close. Updates land in a write-optimized guttering stage
@@ -15,24 +15,27 @@
 // left off and the next query folds only the deltas that arrived since
 // (banks are not rebuilt).
 //
-// Bit-identity contract: query() at any point returns exactly what the
-// one-shot sparsify_stream would return on the stream ingested so far —
-// for every gutter flush policy, gutter count, ingest mode, and recovery
-// thread count. Two ingredients make that a theorem rather than a test
-// hope: sketch linearity (any regrouping of updates sums to the same
-// bank) and deterministic recovery (forests are a function of bank bytes
-// alone). Adaptive sizing holds the live bank at the attempt-0 sizing;
-// attempt 0 of a query reads it in place, and only the rare grown attempts
-// replay the retained stream through GraphStream::updates_since.
+// Bit-identity contract: query() at any point returns exactly what
+// recover_certificate over a per-update bank of the stream ingested so far
+// returns — for every gutter flush policy, gutter count, drain pool, and
+// recovery thread count, and for a coordinated session at any worker
+// count. Two ingredients make that a theorem rather than a test hope:
+// sketch linearity (any regrouping of updates sums to the same bank) and
+// deterministic recovery (forests are a function of bank bytes alone).
+// Adaptive sizing holds the live bank at the attempt-0 sizing; attempt 0 of
+// a query reads it in place, and only the rare grown attempts replay the
+// retained stream through GraphStream::updates_since.
 //
-// Ingest modes (IngestOptions::mode):
-//   kSequential  — gutters flush inline on the session thread.
-//   kSharded     — gutters flush in parallel on a ThreadPool at drain
-//                  points; gutters own disjoint vertex ranges, the same
-//                  disjoint-write argument as static sharding.
-//   kCoordinated — queries drive the multi-process worker protocol of
-//                  net/ingest.hpp (workers hold their own stream slices);
-//                  per-update ingest is not available in this mode.
+// Two kinds of session:
+//   local        — IngestOptions::workers empty (the default). Gutters
+//                  flush inline on the session thread; a caller that lends
+//                  gutter.pool gets parallel drains, the one sharded ingest
+//                  path: gutters own disjoint source-vertex ranges, so
+//                  parallel flushes write disjoint slices of the bank.
+//   coordinated  — IngestOptions::workers non-empty. Queries drive the
+//                  multi-process worker protocol of net/ingest.hpp (workers
+//                  hold their own stream slices); per-update ingest is not
+//                  available, and the session owns the coordinator pool.
 
 #include <cstddef>
 #include <cstdint>
@@ -42,34 +45,24 @@
 
 #include "net/ingest.hpp"
 #include "serve/gutter.hpp"
-#include "sketch/shard.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
 
 namespace deck {
 
-enum class IngestMode {
-  kSequential = 0,
-  kSharded = 1,
-  kCoordinated = 2,
-};
-
-/// Everything that shaped the three historical entry points, in one bag.
-/// Defaults reproduce sparsify_stream(stream, k, {}, {}).
+/// Everything that shapes a session, in one bag. Defaults open a local
+/// session with inline gutter flushes.
 struct IngestOptions {
-  IngestMode mode = IngestMode::kSequential;
-  SketchOptions sketch;
-  RecoveryOptions recovery;
-  /// kSharded: shard count / lent pool for parallel gutter drains. The
-  /// sharding enum is ignored — gutters are always contiguous vertex
-  /// ranges (the kVertexRange discipline).
-  ShardOptions shard;
-  /// Gutter layout and flush policy (all modes except kCoordinated).
-  GutterOptions gutter;
-  /// kCoordinated: connected worker transports (each running
-  /// run_ingest_worker) and the coordinator pool sizing.
-  std::vector<Transport*> workers;
-  IngestCoordinatorOptions coordinator;
+  SketchOptions sketch{};
+  RecoveryOptions recovery{};
+  /// Gutter layout, flush policy, and the drain pool a local session
+  /// borrows (gutter.pool: caller-owned and otherwise idle during drains;
+  /// any pool size builds the bit-identical bank). Unused when coordinated.
+  GutterOptions gutter{};
+  /// Connected worker transports (each running run_ingest_worker). A
+  /// session is coordinated exactly when this is non-empty.
+  std::vector<Transport*> workers{};
+  IngestCoordinatorOptions coordinator{};
 };
 
 /// Session-lifetime accounting, including the gutter stage's.
@@ -108,7 +101,7 @@ class GraphSession {
 
   /// Appends one edge update. Validated like GraphStream (inserting a live
   /// edge or deleting an absent one throws); buffered in the gutters, not
-  /// yet in the live bank. Unavailable in kCoordinated mode.
+  /// yet in the live bank. Unavailable in a coordinated session.
   void insert(VertexId u, VertexId v);
   void erase(VertexId u, VertexId v);
   void apply(const StreamUpdate& u);
@@ -119,8 +112,8 @@ class GraphSession {
 
   /// Pause/flush/recover/resume: drains the gutters into the live bank,
   /// recovers a k-forest Thurimella certificate by reading it in place, and
-  /// leaves the session ready for more updates. Bit-identical to the
-  /// equivalent one-shot sparsify_stream on the stream ingested so far.
+  /// leaves the session ready for more updates. Bit-identical to a fresh
+  /// session that ingested the same stream in one go.
   /// query() uses the session k (the live bank's shape); query(k) for any
   /// other k replays the retained stream into a temporary bank instead.
   SparsifyResult query();
@@ -129,8 +122,8 @@ class GraphSession {
   /// Drains the gutters without querying — bounds live-bank staleness.
   void flush();
 
-  /// Ends the session: drains gutters, and in kCoordinated mode sends the
-  /// workers Shutdown (throwing on transport faults). Idempotent; every
+  /// Ends the session: drains gutters, and in a coordinated session sends
+  /// the workers Shutdown (throwing on transport faults). Idempotent; every
   /// other member except stats() throws once closed.
   void close();
   bool closed() const { return closed_; }
@@ -138,10 +131,12 @@ class GraphSession {
   int num_vertices() const { return n_; }
   int k() const { return k_; }
   const IngestOptions& options() const { return opt_; }
+  /// Whether queries drive remote ingest workers (options().workers set).
+  bool coordinated() const { return !opt_.workers.empty(); }
 
   /// The retained update history (ground truth for verification, and the
   /// replay source for query attempts the live bank cannot answer). Empty
-  /// in kCoordinated mode, where the workers own the stream.
+  /// in a coordinated session, where the workers own the stream.
   const GraphStream& stream() const { return stream_; }
 
   /// Undirected updates buffered in the gutters, not yet in the live bank.
@@ -163,7 +158,6 @@ class GraphSession {
                                          std::optional<SketchConnectivity>& replay);
   SparsifyResult query_local(int k);
   SparsifyResult query_coordinated(int k);
-  ThreadPool* drain_pool();
 
   int n_ = 0;
   int k_ = 0;
@@ -171,16 +165,16 @@ class GraphSession {
   bool closed_ = false;
   GraphStream stream_;
   std::size_t folded_ = 0;  // stream_ updates already pushed into gutters
-  std::optional<SketchConnectivity> bank_;  // live bank (local modes)
+  std::optional<SketchConnectivity> bank_;  // live bank (local sessions)
   std::optional<GutteringSystem> gutters_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // kSharded drain / coordinator pool
-  bool roster_validated_ = false;           // kCoordinated: Hellos consumed
+  std::unique_ptr<ThreadPool> coordinator_pool_;  // coordinated sessions
+  bool roster_validated_ = false;                 // coordinated: Hellos consumed
   SessionStats stats_;
 };
 
-/// ingest() — the facade function behind the deprecated one-shot wrappers:
-/// opens a session, bulk-ingests `stream`, and queries once. Local modes
-/// only (coordinated_sparsify wraps the session directly).
+/// ingest() — the one-call form of a local session: opens one with `opt`,
+/// bulk-ingests `stream`, queries once, and closes. A coordinated session
+/// reads the workers' streams, so it needs a GraphSession of its own.
 SparsifyResult ingest(const GraphStream& stream, int k, const IngestOptions& opt);
 
 }  // namespace deck

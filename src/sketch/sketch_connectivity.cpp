@@ -526,8 +526,4 @@ SparsifyResult recover_certificate(
   return result;  // unreachable
 }
 
-// sparsify_stream() is now a deprecated wrapper over the GraphSession
-// facade; its definition lives in serve/session.cpp so this layer never
-// includes serve/ headers.
-
 }  // namespace deck

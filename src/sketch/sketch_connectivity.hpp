@@ -30,7 +30,8 @@
 //
 // The union of the k peeled forests is a Thurimella certificate: ≤ k(n-1)
 // edges, k-edge-connected whenever the streamed graph is (w.h.p. over the
-// sketch seed). sparsify_stream() materializes it as a deck::Graph so the
+// sketch seed). A session query (serve/session.hpp: GraphSession::query,
+// or the one-call deck::ingest) materializes it as a deck::Graph so the
 // CONGEST pipeline (distributed_kecss / distributed_2ecss) runs on the
 // O(kn)-edge sparsifier instead of the raw stream.
 //
@@ -57,12 +58,13 @@ namespace deck {
 class ThreadPool;
 
 /// Adaptive sketch-sizing policy (SketchOptions::auto_size). When enabled,
-/// sparsify_stream() / sharded_sparsify_stream() ignore the fixed
-/// columns/rounds_slack and instead run an attempt loop: attempt a uses
+/// recover_certificate() (behind every session query) ignores the fixed
+/// columns/rounds_slack and instead runs an attempt loop: attempt a uses
 /// seed split_seed(opt.seed, a) and the current sizing; a failed recovery
 /// multiplies the failing dimension by `growth` and retries the forests
-/// that did not complete. Every shard of an attempt derives the identical
-/// sizing from the policy, so sharded and sequential adaptive runs agree.
+/// that did not complete. Every ingest worker of an attempt derives the
+/// identical sizing from the policy, so coordinated and local adaptive runs
+/// agree.
 struct AutoSizePolicy {
   bool enabled = false;
   /// Attempt-0 sizing, deliberately below the worst case.
@@ -237,12 +239,10 @@ class SketchConnectivity {
   std::vector<std::vector<L0Sampler>> sketches_;  // [vertex][copy]
 };
 
-/// Streaming sparsification front-end: ingest the stream (batched), peel k
-/// forests, and materialize the certificate as a unit-weight deck::Graph on
-/// the same vertex set — ready to wrap in a Network and feed to the CONGEST
-/// algorithms. opt.max_forests is overridden with k. With
-/// opt.auto_size.enabled, runs the adaptive attempt loop instead of the
-/// fixed worst-case sizing.
+/// What a certificate query returns (recover_certificate, behind
+/// GraphSession::query and deck::ingest): the k peeled forests and their
+/// union materialized as a unit-weight deck::Graph on the same vertex set —
+/// ready to wrap in a Network and feed to the CONGEST algorithms.
 struct SparsifyResult {
   Graph certificate;
   std::vector<std::vector<SketchEdge>> forests;
@@ -256,14 +256,6 @@ struct SparsifyResult {
   /// Telemetry of the final attempt's recovery.
   RecoveryStats stats;
 };
-
-/// DEPRECATED wrapper over the GraphSession facade (serve/session.hpp):
-/// opens a kSequential session, bulk-ingests `stream`, and queries once.
-/// Bit-identical to the historical one-shot implementation for fixed seeds
-/// (sketch linearity + deterministic recovery). New code should open a
-/// GraphSession or call deck::ingest().
-SparsifyResult sparsify_stream(const GraphStream& stream, int k, const SketchOptions& opt = {},
-                               const RecoveryOptions& ropt = {});
 
 /// Shared ingest→recover driver behind every session query: `ingest`
 /// yields a filled bank for one attempt's options (the adaptive loop calls

@@ -81,14 +81,6 @@ void GraphStream::churn(int pairs, Rng& rng) {
   }
 }
 
-std::vector<SourceBatch> collect_batches(const GraphStream& s, std::size_t batch_size) {
-  std::vector<SourceBatch> out;
-  apply_batched(s, batch_size, [&out](VertexId src, std::span<const VertexDelta> deltas) {
-    out.push_back({src, std::vector<VertexDelta>(deltas.begin(), deltas.end())});
-  });
-  return out;
-}
-
 Graph GraphStream::materialize(Weight w) const {
   Graph g(n_);
   std::unordered_set<std::uint64_t> seen;

@@ -7,16 +7,12 @@
 // A GraphStream validates itself as it is built — inserting a live edge or
 // deleting an absent one throws — so the net effect is always a simple
 // graph, recoverable via materialize() for ground-truth verification.
-// apply_batched() regroups the stream into per-source batches (the
-// multi-inserter pattern of the streaming-CC systems): each undirected
-// update contributes one directed half at either endpoint, buffered under
-// its source vertex and delivered as source-grouped runs — full batches as
-// they fill mid-stream, remainders at the end. Sketch linearity makes the
-// regrouped application equivalent to the in-order one;
-// collect_batches() materializes the same delivery for parallel consumers.
+// Each undirected update contributes one directed half (VertexDelta) at
+// either endpoint; the guttering stage (serve/gutter.hpp) regroups those
+// halves into per-source runs for SketchConnectivity::apply_batch, and
+// sketch linearity makes any such regrouping equivalent to the in-order
+// application.
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <unordered_set>
@@ -50,7 +46,7 @@ inline std::pair<VertexId, VertexId> decode_edge_index(std::uint64_t index, int 
 }
 
 /// One directed half of an undirected update, grouped by its source vertex
-/// for batch appliers. delta is +1 (insert) or -1 (delete).
+/// for batch appliers (SketchConnectivity::apply_batch). delta is +1 (insert) or -1 (delete).
 struct VertexDelta {
   VertexId dst = kNoVertex;
   int delta = 0;
@@ -101,81 +97,6 @@ class GraphStream {
   int n_ = 0;
   std::vector<StreamUpdate> updates_;
   std::unordered_set<std::uint64_t> live_;
-};
-
-/// Streams the updates into `apply(src, std::span<const VertexDelta>)` in
-/// per-source batches of at most batch_size halves. Delivery order: a
-/// source's buffer is flushed the moment it reaches batch_size — so full
-/// batches from different sources interleave in stream order — and the
-/// partial buffers remaining at end of stream are flushed in ascending
-/// source order. Within one source, halves always arrive in stream order,
-/// and both halves of every update are delivered exactly once; sketch
-/// linearity makes any such regrouping merge to the bank an in-order
-/// applier would build. collect_batches() below materializes this exact
-/// delivery as SourceBatch values — the batch list the sharded and
-/// serving layers distribute.
-template <typename Applier>
-void apply_batched(const GraphStream& s, std::size_t batch_size, Applier&& apply) {
-  DECK_CHECK(batch_size >= 1);
-  const int n = s.num_vertices();
-  std::vector<std::vector<VertexDelta>> pending(static_cast<std::size_t>(n));
-  auto flush = [&](VertexId src) {
-    auto& buf = pending[static_cast<std::size_t>(src)];
-    if (buf.empty()) return;
-    apply(src, std::span<const VertexDelta>(buf.data(), buf.size()));
-    buf.clear();
-  };
-  auto push = [&](VertexId src, VertexId dst, int delta) {
-    auto& buf = pending[static_cast<std::size_t>(src)];
-    buf.push_back({dst, delta});
-    if (buf.size() >= batch_size) flush(src);
-  };
-  for (const StreamUpdate& u : s.updates()) {
-    const int delta = u.insert ? 1 : -1;
-    push(u.u, u.v, delta);
-    push(u.v, u.u, delta);
-  }
-  for (VertexId v = 0; v < n; ++v) flush(v);
-}
-
-/// One materialized per-source batch, the unit of work the sharded ingestion
-/// layer distributes: all deltas share the source vertex `src`.
-struct SourceBatch {
-  VertexId src = kNoVertex;
-  std::vector<VertexDelta> deltas;
-};
-
-/// Materializes the apply_batched() delivery as a vector of SourceBatch, in
-/// the exact order apply_batched would deliver them (so per-source order is
-/// preserved and both halves of every update appear exactly once). This is
-/// the handoff point between a GraphStream and parallel consumers.
-std::vector<SourceBatch> collect_batches(const GraphStream& s, std::size_t batch_size);
-
-/// Thread-safe work queue over a fixed set of batches. Claiming is a single
-/// atomic fetch_add — wait-free, no locks — and every batch is handed out
-/// exactly once across any number of claiming threads. The queue does not
-/// own synchronization of what consumers *do* with a batch; the sharded
-/// ingestion layer gives each worker a private sketch bank so none is
-/// needed.
-class BatchQueue {
- public:
-  explicit BatchQueue(std::vector<SourceBatch> batches) : batches_(std::move(batches)) {}
-
-  /// Next unclaimed batch, or nullptr when the queue is drained. The
-  /// returned pointer stays valid for the queue's lifetime.
-  const SourceBatch* try_pop() {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    return i < batches_.size() ? &batches_[i] : nullptr;
-  }
-
-  std::size_t size() const { return batches_.size(); }
-  std::size_t claimed() const {
-    return std::min(next_.load(std::memory_order_relaxed), batches_.size());
-  }
-
- private:
-  std::vector<SourceBatch> batches_;
-  std::atomic<std::size_t> next_{0};
 };
 
 }  // namespace deck

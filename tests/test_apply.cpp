@@ -1,9 +1,10 @@
 // Bit-identity property tests for the batched apply path
 // (SketchConnectivity::apply_batch → L0Sampler::update_run): every surface
-// that funnels through apply_batch (direct batches, sharded ingestion,
-// gutter flush policies, session queries, coordinated net ingest) must
-// build the bank a loop of per-update SketchConnectivity::update calls
-// builds — down to encode_bank()/encode_sampler() bytes — plus an
+// that funnels through apply_batch (per-source runs of any size, gutter
+// flush policies and parallel drains, session queries, coordinated net
+// ingest) must build the bank a loop of per-update
+// SketchConnectivity::update calls builds — down to
+// encode_bank()/encode_sampler() bytes — plus an
 // odd-sized/unaligned-run suite for both update_run bodies and the
 // all-or-nothing validation of a batch.
 
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -22,7 +24,6 @@
 #include "serve/gutter.hpp"
 #include "serve/session.hpp"
 #include "sketch/l0_sampler.hpp"
-#include "sketch/shard.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
@@ -39,6 +40,30 @@ SketchConnectivity reference_bank(const GraphStream& stream, const SketchOptions
   SketchConnectivity bank(stream.num_vertices(), opt);
   for (const StreamUpdate& u : stream.updates()) bank.update(u.u, u.v, u.insert ? 1 : -1);
   return bank;
+}
+
+/// The bank a GutteringSystem with `gopt` builds from `stream`, flushing
+/// straight into apply_batch and drained at the end — the session's ingest
+/// path without the session.
+SketchConnectivity gutter_bank(const GraphStream& stream, const SketchOptions& opt,
+                               const GutterOptions& gopt) {
+  SketchConnectivity bank(stream.num_vertices(), opt);
+  GutteringSystem gutters(stream.num_vertices(), gopt,
+                          [&](VertexId src, std::span<const VertexDelta> deltas) {
+                            bank.apply_batch(src, deltas);
+                          });
+  for (const StreamUpdate& u : stream.updates()) gutters.push(u.u, u.v, u.insert ? 1 : -1);
+  gutters.drain();
+  return bank;
+}
+
+/// One gutter per vertex, spilling at `batch` halves: per-source runs of
+/// exactly `batch` halves as they fill, remainders at the drain.
+GutterOptions per_source_runs(int n, std::size_t batch) {
+  GutterOptions gopt;
+  gopt.num_gutters = n;
+  gopt.policy.max_halves = batch;
+  return gopt;
 }
 
 SketchOptions small_options(std::uint64_t seed) {
@@ -95,10 +120,8 @@ TEST(ApplyBatch, ApplyBatchIdentityAcrossBatchSizes) {
   const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
   for (std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{255},
                             std::size_t{256}, std::size_t{100000}}) {
-    SketchConnectivity bank(stream.num_vertices(), opt);
-    for (const SourceBatch& b : collect_batches(stream, batch))
-      bank.apply_batch(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()));
-    EXPECT_EQ(encode_bank(bank), want) << "batch=" << batch;
+    const GutterOptions gopt = per_source_runs(stream.num_vertices(), batch);
+    EXPECT_EQ(encode_bank(gutter_bank(stream, opt, gopt)), want) << "batch=" << batch;
   }
 }
 
@@ -128,33 +151,14 @@ TEST(ApplyBatch, TinyGraphIdentity) {
   s.erase(0, 1);
   s.insert(1, 0);
   const SketchOptions opt = small_options(77);
-  SketchConnectivity bank(2, opt);
-  for (const SourceBatch& b : collect_batches(s, 2))
-    bank.apply_batch(b.src, std::span<const VertexDelta>(b.deltas.data(), b.deltas.size()));
-  EXPECT_EQ(encode_bank(bank), encode_bank(reference_bank(s, opt)));
-}
-
-TEST(ApplyBatch, ShardedIdentityAcrossShardCountsAndModes) {
-  // Sharded banks are encode_bank-equal to the per-update oracle for shard
-  // counts {1, 2, 4, 8} under every sharding mode.
-  const GraphStream stream = churned_stream(64, 2, 311);
-  const SketchOptions sopt = small_options(312);
-  const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, sopt));
-  for (int shards : {1, 2, 4, 8}) {
-    for (Sharding mode : {Sharding::kHash, Sharding::kVertexRange, Sharding::kDynamic}) {
-      ShardOptions opt;
-      opt.shards = shards;
-      opt.batch_size = 37;  // unaligned on purpose
-      opt.sharding = mode;
-      EXPECT_EQ(encode_bank(apply_sharded(stream, sopt, opt).sketch), want)
-          << "shards=" << shards << " mode=" << static_cast<int>(mode);
-    }
-  }
+  EXPECT_EQ(encode_bank(gutter_bank(s, opt, per_source_runs(2, 2))),
+            encode_bank(reference_bank(s, opt)));
 }
 
 TEST(ApplyBatch, GutterFlushPolicyIdentity) {
-  // Gutter flush path, straight into apply_batch: every flush policy
-  // merges to the oracle's bank bytes.
+  // Gutter flush path, straight into apply_batch: every flush policy merges
+  // to the oracle's bank bytes, flushed inline or drained in parallel on a
+  // lent pool of 1/2/4/8 threads — the session's one sharded ingest path.
   const GraphStream stream = churned_stream(40, 2, 601);
   const SketchOptions opt = small_options(602);
   const std::vector<std::uint8_t> want = encode_bank(reference_bank(stream, opt));
@@ -164,38 +168,39 @@ TEST(ApplyBatch, GutterFlushPolicyIdentity) {
       {/*max_halves=*/64, /*max_age=*/16},
   };
   for (const FlushPolicy& policy : policies) {
-    SketchConnectivity bank(stream.num_vertices(), opt);
-    GutterOptions gopt;
-    gopt.num_gutters = 4;
-    gopt.policy = policy;
-    GutteringSystem gutters(stream.num_vertices(), gopt,
-                            [&](VertexId src, std::span<const VertexDelta> deltas) {
-                              bank.apply_batch(src, deltas);
-                            });
-    for (const StreamUpdate& u : stream.updates()) gutters.push(u.u, u.v, u.insert ? 1 : -1);
-    gutters.drain();
-    EXPECT_EQ(encode_bank(bank), want)
-        << "max_halves=" << policy.max_halves << " max_age=" << policy.max_age;
+    for (int threads : {0, 1, 2, 4, 8}) {
+      std::optional<ThreadPool> pool;
+      GutterOptions gopt;
+      gopt.num_gutters = 4;
+      gopt.policy = policy;
+      if (threads > 0) {
+        gopt.num_gutters = 0;  // derived: 4 per pool thread
+        gopt.pool = &pool.emplace(threads);
+      }
+      EXPECT_EQ(encode_bank(gutter_bank(stream, opt, gopt)), want)
+          << "max_halves=" << policy.max_halves << " max_age=" << policy.max_age
+          << " threads=" << threads;
+    }
   }
 }
 
 TEST(ApplyBatch, SessionQueryMatchesPerUpdateOracle) {
-  // End-to-end through GraphSession: sequential and sharded sessions (with
+  // End-to-end through GraphSession: inline and pooled-drain sessions (with
   // small, unaligned gutter flushes) answer exactly what recovery on the
   // per-update oracle bank answers.
   const GraphStream stream = churned_stream(48, 2, 701);
   const SketchOptions sopt = small_options(702);
   const KForests want = reference_bank(stream, sopt).recover_forests(2);
   ASSERT_TRUE(want.converged);
-  for (IngestMode mode : {IngestMode::kSequential, IngestMode::kSharded}) {
+  ThreadPool pool(3);
+  for (ThreadPool* drain_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
     IngestOptions io;
-    io.mode = mode;
     io.sketch = sopt;
-    io.shard.shards = mode == IngestMode::kSharded ? 3 : 1;
+    io.gutter.pool = drain_pool;
     io.gutter.policy.max_halves = 11;
     const SparsifyResult got = ingest(stream, 2, io);
     EXPECT_EQ(sorted_pairs(got.forests), sorted_pairs(want.forests))
-        << "mode=" << static_cast<int>(mode);
+        << "pooled=" << (drain_pool != nullptr);
     EXPECT_EQ(got.copies_used, want.copies_used);
     EXPECT_EQ(got.attempts, 1);
   }

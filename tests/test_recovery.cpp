@@ -9,12 +9,13 @@
 #include "graph/edge_connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/union_find.hpp"
-#include "sketch/shard.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
 #include "sketch_test_util.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace deck {
 namespace {
@@ -91,10 +92,10 @@ TEST(ParallelRecovery, ShardedPipelineEndToEndParallel) {
   const GraphStream s = churned_stream(64, 3, 9);
   SketchOptions sopt;
   sopt.seed = 4100;
-  const SparsifyResult want = sparsify_stream(s, 3, sopt);
-  ShardOptions shopt;
-  shopt.shards = 4;
-  const SparsifyResult got = sharded_sparsify_stream(s, 3, sopt, shopt, {.threads = 4});
+  const SparsifyResult want = ingest(s, 3, {.sketch = sopt});
+  ThreadPool drain_pool(4);
+  const SparsifyResult got =
+      ingest(s, 3, {.sketch = sopt, .recovery = {.threads = 4}, .gutter = {.pool = &drain_pool}});
   EXPECT_EQ(sorted_pairs(got.forests), sorted_pairs(want.forests));
   ASSERT_EQ(got.certificate.num_edges(), want.certificate.num_edges());
   for (const Edge& e : want.certificate.edges()) EXPECT_TRUE(got.certificate.has_edge(e.u, e.v));
@@ -295,7 +296,7 @@ TEST(RecoveryGolden, GrownAutoSizeAttemptMatchesTheReference) {
   opt.auto_size.max_attempts = 8;
   for (int threads : {1, 4}) {
     const std::string what = "threads=" + std::to_string(threads);
-    const SparsifyResult r = sparsify_stream(s, 2, opt, {.threads = threads});
+    const SparsifyResult r = ingest(s, 2, {.sketch = opt, .recovery = {.threads = threads}});
     EXPECT_EQ(r.attempts, 2) << what;  // columns grew 1 → 2
     EXPECT_EQ(r.columns_used, 2) << what;
     EXPECT_EQ(r.rounds_slack_used, 1) << what;
@@ -368,7 +369,7 @@ TEST(AutoSize, CertificateRemainsKEdgeConnected) {
       SketchOptions opt;
       opt.seed = 8100 + static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
       opt.auto_size.enabled = true;
-      const SparsifyResult r = sparsify_stream(s, k, opt);
+      const SparsifyResult r = ingest(s, k, {.sketch = opt});
       EXPECT_LE(r.certificate.num_edges(), k * (n - 1)) << "n=" << n << " k=" << k;
       EXPECT_TRUE(is_k_edge_connected(r.certificate, k)) << "n=" << n << " k=" << k;
       for (const Edge& e : r.certificate.edges()) EXPECT_TRUE(g.has_edge(e.u, e.v));
@@ -390,8 +391,8 @@ TEST(AutoSize, DeterministicGivenSeed) {
   SketchOptions opt;
   opt.seed = 2024;
   opt.auto_size.enabled = true;
-  const SparsifyResult a = sparsify_stream(s, 2, opt);
-  const SparsifyResult b = sparsify_stream(s, 2, opt);
+  const SparsifyResult a = ingest(s, 2, {.sketch = opt});
+  const SparsifyResult b = ingest(s, 2, {.sketch = opt});
   EXPECT_EQ(sorted_pairs(a.forests), sorted_pairs(b.forests));
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.columns_used, b.columns_used);
@@ -400,21 +401,20 @@ TEST(AutoSize, DeterministicGivenSeed) {
 }
 
 TEST(AutoSize, ShardedMatchesSequentialAdaptive) {
-  // Shards must agree on every attempt's sizing: the sharded adaptive
-  // pipeline re-ingests each attempt through apply_sharded with the same
-  // derived options, so its result is identical to the sequential one.
+  // Parallel gutter drains must not change any attempt: the adaptive
+  // session holds its live bank at the attempt-0 sizing whatever pool
+  // drains it, and grown attempts replay the same retained stream, so its
+  // result is identical to the inline one.
   const GraphStream s = churned_stream(48, 2, 29);
   SketchOptions opt;
   opt.seed = 555;
   opt.auto_size.enabled = true;
-  const SparsifyResult want = sparsify_stream(s, 2, opt);
-  for (Sharding mode : {Sharding::kHash, Sharding::kDynamic}) {
-    ShardOptions shopt;
-    shopt.shards = 4;
-    shopt.sharding = mode;
-    const SparsifyResult got = sharded_sparsify_stream(s, 2, opt, shopt, {.threads = 2});
-    EXPECT_EQ(sorted_pairs(got.forests), sorted_pairs(want.forests))
-        << "mode=" << static_cast<int>(mode);
+  const SparsifyResult want = ingest(s, 2, {.sketch = opt});
+  for (int threads : {2, 4}) {
+    ThreadPool drain_pool(threads);
+    const SparsifyResult got =
+        ingest(s, 2, {.sketch = opt, .recovery = {.threads = 2}, .gutter = {.pool = &drain_pool}});
+    EXPECT_EQ(sorted_pairs(got.forests), sorted_pairs(want.forests)) << "threads=" << threads;
     EXPECT_EQ(got.attempts, want.attempts);
     EXPECT_EQ(got.columns_used, want.columns_used);
   }
@@ -430,7 +430,7 @@ TEST(AutoSize, UndersizedFirstAttemptStillConverges) {
   opt.auto_size.initial_columns = 1;
   opt.auto_size.initial_rounds_slack = 1;
   opt.auto_size.max_attempts = 8;
-  const SparsifyResult r = sparsify_stream(s, 2, opt);
+  const SparsifyResult r = ingest(s, 2, {.sketch = opt});
   const Graph net = s.materialize();
   EXPECT_LE(r.certificate.num_edges(), 2 * (s.num_vertices() - 1));
   EXPECT_TRUE(is_k_edge_connected(r.certificate, 2));

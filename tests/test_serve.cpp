@@ -1,8 +1,8 @@
 // Serving-layer suite: the guttering stage, GraphStream replay cursors, the
 // GraphSession lifecycle (and its bit-identity contract against the
-// pre-facade one-shot pipeline), the deprecated wrappers, and the serve
-// wire protocol — single client, malformed frames, and concurrent client
-// mixes over loopback and TCP.
+// pre-facade one-shot pipeline, for local sessions, deck::ingest and
+// coordinated sessions), and the serve wire protocol — single client,
+// malformed frames, and concurrent client mixes over loopback and TCP.
 
 #include <gtest/gtest.h>
 
@@ -36,8 +36,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Ground truth: the pre-facade one-shot pipeline, inlined. Every bit-identity
-// test compares the session/wrapper output against this independent
-// implementation, not against another facade path.
+// test compares the session output against this independent implementation,
+// not against another facade path.
 
 SparsifyResult reference_sparsify(const GraphStream& stream, int k, const SketchOptions& opt,
                                   const RecoveryOptions& ropt = {}) {
@@ -286,6 +286,8 @@ TEST(ServeSession, QueryMatchesOneShotForEveryPolicyAndMode) {
   opt.seed = 521;
   const SparsifyResult want = reference_sparsify(stream, 2, opt);
 
+  // Inline drains, and parallel drains on lent pools of 1/2/4 threads.
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(4)};
   std::vector<IngestOptions> variants;
   for (const FlushPolicy& policy :
        {FlushPolicy{}, FlushPolicy{.max_halves = 2}, FlushPolicy{.max_halves = 64, .max_age = 9}}) {
@@ -294,11 +296,10 @@ TEST(ServeSession, QueryMatchesOneShotForEveryPolicyAndMode) {
     seq.gutter.policy = policy;
     seq.gutter.num_gutters = 3;
     variants.push_back(seq);
-    for (const int shards : {1, 2, 4}) {
-      IngestOptions sh = seq;
-      sh.mode = IngestMode::kSharded;
-      sh.shard.shards = shards;
-      variants.push_back(sh);
+    for (ThreadPool& pool : pools) {
+      IngestOptions pooled = seq;
+      pooled.gutter.pool = &pool;
+      variants.push_back(pooled);
     }
   }
 
@@ -450,39 +451,37 @@ TEST(ServeSession, PendingUpdatesTrackTheGutters) {
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated wrappers: bit-identical to the pre-facade pipeline
+// deck::ingest, the one-call session: bit-identical to the pre-facade pipeline
 
-TEST(ServeWrappers, SparsifyStreamMatchesReference) {
+TEST(ServeSession, IngestMatchesReference) {
   for (const std::uint64_t seed : {600u, 601u, 602u}) {
     const GraphStream stream = churned_stream(24, 2, seed);
     SketchOptions opt;
     opt.seed = seed + 7;
-    expect_same_result(sparsify_stream(stream, 2, opt), reference_sparsify(stream, 2, opt));
+    expect_same_result(ingest(stream, 2, {.sketch = opt}), reference_sparsify(stream, 2, opt));
   }
 }
 
-TEST(ServeWrappers, ShardedSparsifyStreamMatchesReference) {
+TEST(ServeSession, LentPoolIngestMatchesReference) {
   const GraphStream stream = churned_stream(26, 3, 610);
   SketchOptions opt;
   opt.seed = 611;
   const SparsifyResult want = reference_sparsify(stream, 3, opt);
-  for (const int shards : {1, 2, 3, 5}) {
-    ShardOptions sh;
-    sh.shards = shards;
-    expect_same_result(sharded_sparsify_stream(stream, 3, opt, sh), want);
+  for (const int threads : {1, 2, 3, 5}) {
+    ThreadPool pool(threads);
+    expect_same_result(ingest(stream, 3, {.sketch = opt, .gutter = {.pool = &pool}}), want);
   }
 }
 
-TEST(ServeWrappers, AdaptiveWrappersMatchReference) {
+TEST(ServeSession, AdaptiveIngestMatchesReference) {
   const GraphStream stream = churned_stream(24, 2, 620);
   SketchOptions opt;
   opt.seed = 621;
   opt.auto_size.enabled = true;
   const SparsifyResult want = reference_sparsify(stream, 2, opt);
-  expect_same_result(sparsify_stream(stream, 2, opt), want);
-  ShardOptions sh;
-  sh.shards = 2;
-  expect_same_result(sharded_sparsify_stream(stream, 2, opt, sh), want);
+  expect_same_result(ingest(stream, 2, {.sketch = opt}), want);
+  ThreadPool pool(2);
+  expect_same_result(ingest(stream, 2, {.sketch = opt, .gutter = {.pool = &pool}}), want);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,7 +518,6 @@ TEST(ServeSession, CoordinatedSessionServesRepeatedQueries) {
 
   WorkerFleet fleet(stream, 2);
   IngestOptions io;
-  io.mode = IngestMode::kCoordinated;
   io.sketch = opt;
   io.workers = fleet.raw;
   io.coordinator.threads = 2;
@@ -532,14 +530,16 @@ TEST(ServeSession, CoordinatedSessionServesRepeatedQueries) {
   fleet.join();
 }
 
-TEST(ServeWrappers, CoordinatedSparsifyMatchesReferenceForEveryFleetSize) {
+TEST(ServeSession, CoordinatedQueryMatchesReferenceForEveryFleetSize) {
   const GraphStream stream = churned_stream(24, 2, 640);
   SketchOptions opt;
   opt.seed = 641;
   const SparsifyResult want = reference_sparsify(stream, 2, opt);
   for (const int workers : {1, 2, 3}) {
     WorkerFleet fleet(stream, workers);
-    expect_same_result(coordinated_sparsify(fleet.raw, stream.num_vertices(), 2, opt), want);
+    GraphSession session(stream.num_vertices(), 2, {.sketch = opt, .workers = fleet.raw});
+    expect_same_result(session.query(), want);
+    session.close();
     fleet.join();
   }
 }
@@ -721,7 +721,6 @@ TEST(ServeProtocol, ServerRefusesCoordinatedSessions) {
   const GraphStream stream = churned_stream(12, 2, 660);
   WorkerFleet fleet(stream, 1);
   IngestOptions io;
-  io.mode = IngestMode::kCoordinated;
   io.workers = fleet.raw;
   GraphSession session(stream.num_vertices(), 2, io);
   EXPECT_THROW(SessionServer{session}, std::logic_error);

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <numeric>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "sketch/shard.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch/stream.hpp"
 #include "sketch_test_util.hpp"
@@ -98,124 +95,38 @@ TEST(ThreadPool, ForRangeRethrowsBodyError) {
   EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(BatchQueue, EachBatchClaimedExactlyOnce) {
-  std::vector<SourceBatch> batches;
-  for (int i = 0; i < 200; ++i) batches.push_back({static_cast<VertexId>(i % 13), {}});
-  BatchQueue q(std::move(batches));
-  ASSERT_EQ(q.size(), 200u);
-
-  std::vector<std::vector<const SourceBatch*>> claims(4);
-  ThreadPool pool(4);
-  for (int t = 0; t < 4; ++t)
-    pool.submit([&q, &claims, t] {
-      while (const SourceBatch* b = q.try_pop()) claims[static_cast<std::size_t>(t)].push_back(b);
-    });
-  pool.wait();
-
-  std::vector<const SourceBatch*> all;
-  for (const auto& c : claims) all.insert(all.end(), c.begin(), c.end());
-  EXPECT_EQ(all.size(), 200u);
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());  // no batch handed out twice
-  EXPECT_EQ(q.claimed(), 200u);
-  EXPECT_EQ(q.try_pop(), nullptr);
-}
-
-TEST(CollectBatches, MatchesApplyBatchedDelivery) {
-  GraphStream s = churned_stream(24, 2, 11);
-  std::vector<SourceBatch> expected;
-  apply_batched(s, 7, [&expected](VertexId src, std::span<const VertexDelta> deltas) {
-    expected.push_back({src, std::vector<VertexDelta>(deltas.begin(), deltas.end())});
-  });
-  const std::vector<SourceBatch> got = collect_batches(s, 7);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].src, expected[i].src);
-    ASSERT_EQ(got[i].deltas.size(), expected[i].deltas.size());
-    for (std::size_t j = 0; j < got[i].deltas.size(); ++j) {
-      EXPECT_EQ(got[i].deltas[j].dst, expected[i].deltas[j].dst);
-      EXPECT_EQ(got[i].deltas[j].delta, expected[i].deltas[j].delta);
-    }
-  }
-}
-
-TEST(ShardOf, PartitionsEveryVertexInRange) {
-  for (Sharding mode : {Sharding::kHash, Sharding::kVertexRange}) {
-    ShardOptions opt;
-    opt.shards = 5;
-    opt.sharding = mode;
-    for (VertexId v = 0; v < 64; ++v) {
-      const int s = shard_of(v, 64, opt);
-      EXPECT_GE(s, 0);
-      EXPECT_LT(s, opt.shards);
-    }
-  }
-  ShardOptions dyn;
-  dyn.sharding = Sharding::kDynamic;
-  EXPECT_THROW(shard_of(0, 4, dyn), std::logic_error);
-}
-
-TEST(ShardedIngest, BankBitIdenticalToSequential) {
-  // The heart of the sharding contract: for every shard count and mode, the
-  // merged bank's serialized bytes equal the sequential ingester's — not
-  // merely an equivalent sketch, the identical one.
-  const GraphStream s = churned_stream(48, 2, 21);
-  SketchOptions sopt;
-  sopt.seed = 99;
-  sopt.max_forests = 2;
-
-  SketchConnectivity sequential(s.num_vertices(), sopt);
-  for (const StreamUpdate& u : s.updates()) sequential.update(u.u, u.v, u.insert ? 1 : -1);
-  const std::vector<std::uint8_t> want = encode_bank(sequential);
-
-  for (Sharding mode : {Sharding::kHash, Sharding::kVertexRange, Sharding::kDynamic}) {
-    for (int shards : {1, 2, 3, 4, 8}) {
-      ShardOptions opt;
-      opt.shards = shards;
-      opt.batch_size = 17;
-      opt.sharding = mode;
-      ShardIngestResult r = apply_sharded(s, sopt, opt);
-      EXPECT_EQ(encode_bank(r.sketch), want)
-          << "shards=" << shards << " mode=" << static_cast<int>(mode);
-      // Accounting: every directed half ingested exactly once, somewhere.
-      EXPECT_EQ(std::accumulate(r.shard_halves.begin(), r.shard_halves.end(), std::size_t{0}),
-                2 * s.size());
-    }
-  }
-}
-
 TEST(ShardedIngest, ShardCountNeverChangesRecoveredForests) {
-  // Property test for the seed-splitting fix: across seeds, shard counts,
-  // modes, and batch sizes, the recovered forest set is the sequential one.
+  // Property test for the seed-splitting fix: across seeds, drain-pool sizes
+  // and gutter flush sizes, a session whose gutters drain in parallel on a
+  // lent pool recovers the forest set of an inline session.
   for (std::uint64_t seed : {3u, 7u, 31u}) {
     const GraphStream s = churned_stream(40, 2, seed);
-    SketchOptions sopt;
-    sopt.seed = 1000 + seed;
-    const SparsifyResult sequential = sparsify_stream(s, 2, sopt);
+    IngestOptions io;
+    io.sketch.seed = 1000 + seed;
+    const SparsifyResult sequential = ingest(s, 2, io);
     const auto want = sorted_pairs(sequential.forests);
-    for (Sharding mode : {Sharding::kHash, Sharding::kVertexRange, Sharding::kDynamic}) {
-      for (int shards : {2, 4, 8}) {
-        ShardOptions opt;
-        opt.shards = shards;
-        opt.batch_size = shards == 4 ? 1 : 64;  // also vary batching
-        opt.sharding = mode;
-        const SparsifyResult sharded = sharded_sparsify_stream(s, 2, sopt, opt);
-        EXPECT_EQ(sorted_pairs(sharded.forests), want)
-            << "seed=" << seed << " shards=" << shards << " mode=" << static_cast<int>(mode);
-        EXPECT_EQ(sharded.copies_used, sequential.copies_used);
-      }
+    for (int shards : {2, 4, 8}) {
+      ThreadPool pool(shards);
+      IngestOptions sharded = io;
+      sharded.gutter.pool = &pool;
+      // Also vary batching: every half spills on push, some do, or all wait
+      // for the parallel drain.
+      sharded.gutter.policy.max_halves = shards == 2 ? 1 : shards == 4 ? 64 : 1 << 20;
+      const SparsifyResult got = ingest(s, 2, sharded);
+      EXPECT_EQ(sorted_pairs(got.forests), want) << "seed=" << seed << " shards=" << shards;
+      EXPECT_EQ(got.copies_used, sequential.copies_used);
     }
   }
 }
 
 TEST(ShardedIngest, CertificateMatchesSequentialSparsify) {
   const GraphStream s = churned_stream(64, 3, 5);
-  SketchOptions sopt;
-  sopt.seed = 4242;
-  const SparsifyResult a = sparsify_stream(s, 3, sopt);
-  ShardOptions opt;
-  opt.shards = 4;
-  const SparsifyResult b = sharded_sparsify_stream(s, 3, sopt, opt);
+  IngestOptions io;
+  io.sketch.seed = 4242;
+  const SparsifyResult a = ingest(s, 3, io);
+  ThreadPool pool(4);
+  io.gutter.pool = &pool;
+  const SparsifyResult b = ingest(s, 3, io);
   ASSERT_EQ(a.certificate.num_edges(), b.certificate.num_edges());
   for (const Edge& e : a.certificate.edges()) EXPECT_TRUE(b.certificate.has_edge(e.u, e.v));
 }

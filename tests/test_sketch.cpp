@@ -9,6 +9,8 @@
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "graph/union_find.hpp"
+#include "serve/gutter.hpp"
+#include "serve/session.hpp"
 #include "sketch/l0_sampler.hpp"
 #include "sketch/sketch_connectivity.hpp"
 #include "sketch/stream.hpp"
@@ -168,7 +170,7 @@ TEST(SketchConnectivity, CertificateIsKEdgeConnected) {
       GraphStream s = GraphStream::from_graph(g, rng);
       SketchOptions opt;
       opt.seed = 900 + static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(k);
-      const SparsifyResult r = sparsify_stream(s, k, opt);
+      const SparsifyResult r = ingest(s, k, {.sketch = opt});
       EXPECT_LE(r.certificate.num_edges(), k * (n - 1)) << "n=" << n << " k=" << k;
       EXPECT_TRUE(is_k_edge_connected(r.certificate, k)) << "n=" << n << " k=" << k;
       // Certificate edges are real edges of the streamed graph.
@@ -185,7 +187,7 @@ TEST(SketchConnectivity, ForestsAreEdgeDisjoint) {
   Graph g = random_kec(40, 3, 60, rng);
   SketchOptions opt;
   opt.seed = 77;
-  const SparsifyResult r = sparsify_stream(GraphStream::from_graph(g), 3, opt);
+  const SparsifyResult r = ingest(GraphStream::from_graph(g), 3, {.sketch = opt});
   ASSERT_EQ(r.forests.size(), 3u);
   auto pairs = sorted_pairs(r.forests);
   EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end());
@@ -197,8 +199,8 @@ TEST(SketchConnectivity, DeterministicGivenSeed) {
   const GraphStream s = GraphStream::from_graph(g);
   SketchOptions opt;
   opt.seed = 4242;
-  const SparsifyResult a = sparsify_stream(s, 2, opt);
-  const SparsifyResult b = sparsify_stream(s, 2, opt);
+  const SparsifyResult a = ingest(s, 2, {.sketch = opt});
+  const SparsifyResult b = ingest(s, 2, {.sketch = opt});
   EXPECT_EQ(sorted_pairs(a.forests), sorted_pairs(b.forests));
   EXPECT_EQ(a.certificate.num_edges(), b.certificate.num_edges());
 }
@@ -214,8 +216,8 @@ TEST(SketchConnectivity, ChurnCancelsExactly) {
   churned.churn(120, rng);
   SketchOptions opt;
   opt.seed = 1001;
-  const SparsifyResult a = sparsify_stream(plain, 2, opt);
-  const SparsifyResult b = sparsify_stream(churned, 2, opt);
+  const SparsifyResult a = ingest(plain, 2, {.sketch = opt});
+  const SparsifyResult b = ingest(churned, 2, {.sketch = opt});
   EXPECT_EQ(sorted_pairs(a.forests), sorted_pairs(b.forests));
 }
 
@@ -231,10 +233,18 @@ TEST(SketchConnectivity, BatchedApplicationMatchesUpdates) {
   SketchConnectivity direct(s.num_vertices(), opt);
   for (const StreamUpdate& u : s.updates()) direct.update(u.u, u.v, u.insert ? 1 : -1);
 
+  // One gutter per vertex spilling at 7 halves: per-source runs of 7 as
+  // they fill, remainders at the drain.
   SketchConnectivity batched(s.num_vertices(), opt);
-  apply_batched(s, /*batch_size=*/7, [&](VertexId src, std::span<const VertexDelta> deltas) {
-    batched.apply_batch(src, deltas);
-  });
+  GutterOptions gopt;
+  gopt.num_gutters = s.num_vertices();
+  gopt.policy.max_halves = 7;
+  GutteringSystem gutters(s.num_vertices(), gopt,
+                          [&](VertexId src, std::span<const VertexDelta> deltas) {
+                            batched.apply_batch(src, deltas);
+                          });
+  for (const StreamUpdate& u : s.updates()) gutters.push(u.u, u.v, u.insert ? 1 : -1);
+  gutters.drain();
 
   EXPECT_EQ(sorted_pairs(direct.k_spanning_forests(2)),
             sorted_pairs(batched.k_spanning_forests(2)));

@@ -21,7 +21,7 @@
 #include "net/ingest.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
-#include "sketch/shard.hpp"
+#include "serve/session.hpp"
 #include "sketch/sketch_io.hpp"
 #include "sketch_test_util.hpp"
 
@@ -30,6 +30,17 @@ namespace {
 
 std::vector<std::uint8_t> bytes_of(std::initializer_list<std::uint8_t> init) {
   return std::vector<std::uint8_t>(init);
+}
+
+/// One query on a coordinated GraphSession over `workers`, then close: the
+/// coordinator side of the ingest-protocol tests.
+SparsifyResult coordinated_query(const std::vector<Transport*>& workers, int n, int k,
+                                 const SketchOptions& opt,
+                                 const IngestCoordinatorOptions& copt = {}) {
+  GraphSession session(n, k, {.sketch = opt, .workers = workers, .coordinator = copt});
+  SparsifyResult result = session.query();
+  session.close();
+  return result;
 }
 
 TEST(Transport, LoopbackRoundTripsInOrder) {
@@ -221,7 +232,7 @@ TEST(IngestProtocol, IngestRunsOverUnixSockets) {
   SketchOptions opt;
   opt.seed = 7901;
   opt.max_forests = 2;
-  const SparsifyResult local = sparsify_stream(stream, 2, opt);
+  const SparsifyResult local = ingest(stream, 2, {.sketch = opt});
 
   const std::string path = unix_path("ingest");
   UnixListener listener(path);
@@ -239,7 +250,7 @@ TEST(IngestProtocol, IngestRunsOverUnixSockets) {
     accepted.push_back(listener.accept());
     raw.push_back(accepted.back().get());
   }
-  const SparsifyResult remote = coordinated_sparsify(raw, stream.num_vertices(), 2, opt);
+  const SparsifyResult remote = coordinated_query(raw, stream.num_vertices(), 2, opt);
   for (auto& th : threads) th.join();
   EXPECT_EQ(sorted_pairs(remote.forests), sorted_pairs(local.forests));
 }
@@ -442,7 +453,7 @@ SparsifyResult loopback_ingest(const GraphStream& stream, int workers, int k,
   for (auto& t : coordinator_side) raw.push_back(t.get());
   SparsifyResult result;
   try {
-    result = coordinated_sparsify(raw, stream.num_vertices(), k, opt, copt);
+    result = coordinated_query(raw, stream.num_vertices(), k, opt, copt);
   } catch (...) {
     for (auto& t : coordinator_side) t->close();
     for (auto& th : threads) th.join();
@@ -457,7 +468,7 @@ TEST(IngestProtocol, BitIdenticalToSingleProcessForEveryWorkerCount) {
   SketchOptions opt;
   opt.seed = 7101;
   opt.max_forests = 2;
-  const SparsifyResult local = sharded_sparsify_stream(stream, 2, opt, ShardOptions{});
+  const SparsifyResult local = ingest(stream, 2, {.sketch = opt});
   for (int workers : {1, 2, 4}) {
     const SparsifyResult remote = loopback_ingest(stream, workers, 2, opt);
     EXPECT_EQ(sorted_pairs(remote.forests), sorted_pairs(local.forests)) << workers << " workers";
@@ -473,7 +484,7 @@ TEST(IngestProtocol, ChunkSizeNeverChangesTheResult) {
   SketchOptions opt;
   opt.seed = 7201;
   opt.max_forests = 2;
-  const SparsifyResult local = sparsify_stream(stream, 2, opt);
+  const SparsifyResult local = ingest(stream, 2, {.sketch = opt});
   for (int vpc : {1, 5, 36}) {
     IngestWorkerOptions wopt;
     wopt.vertices_per_chunk = vpc;
@@ -487,7 +498,7 @@ TEST(IngestProtocol, SharedPoolThreadCountNeverChangesTheResult) {
   SketchOptions opt;
   opt.seed = 7301;
   opt.max_forests = 2;
-  const SparsifyResult local = sparsify_stream(stream, 2, opt);
+  const SparsifyResult local = ingest(stream, 2, {.sketch = opt});
   for (int threads : {1, 2, 4}) {
     IngestCoordinatorOptions copt;
     copt.threads = threads;
@@ -504,7 +515,7 @@ TEST(IngestProtocol, AdaptiveSizingRunsOverTheWire) {
   opt.seed = 7401;
   opt.max_forests = 2;
   opt.auto_size.enabled = true;
-  const SparsifyResult local = sharded_sparsify_stream(stream, 2, opt, ShardOptions{});
+  const SparsifyResult local = ingest(stream, 2, {.sketch = opt});
   const SparsifyResult remote = loopback_ingest(stream, 2, 2, opt);
   EXPECT_EQ(remote.attempts, local.attempts);
   EXPECT_EQ(remote.columns_used, local.columns_used);
@@ -516,7 +527,7 @@ TEST(IngestProtocol, IngestRunsOverRealSockets) {
   SketchOptions opt;
   opt.seed = 7501;
   opt.max_forests = 2;
-  const SparsifyResult local = sparsify_stream(stream, 2, opt);
+  const SparsifyResult local = ingest(stream, 2, {.sketch = opt});
 
   TcpListener listener;
   const int workers = 2;
@@ -531,7 +542,7 @@ TEST(IngestProtocol, IngestRunsOverRealSockets) {
   for (int w = 0; w < workers; ++w) accepted.push_back(listener.accept());
   std::vector<Transport*> raw;
   for (auto& t : accepted) raw.push_back(t.get());
-  const SparsifyResult remote = coordinated_sparsify(raw, stream.num_vertices(), 2, opt);
+  const SparsifyResult remote = coordinated_query(raw, stream.num_vertices(), 2, opt);
   for (auto& th : threads) th.join();
   EXPECT_EQ(sorted_pairs(remote.forests), sorted_pairs(local.forests));
 }
@@ -552,7 +563,7 @@ TEST(IngestProtocol, WorkerDyingMidAttemptIsATypedError) {
     t->close();       // ...and die without sending a single chunk
   });
   std::vector<Transport*> raw{c.get()};
-  EXPECT_THROW((void)coordinated_sparsify(raw, 24, 2, opt), NetError);
+  EXPECT_THROW((void)coordinated_query(raw, 24, 2, opt), NetError);
   impostor.join();
 }
 
@@ -565,7 +576,7 @@ TEST(IngestProtocol, RosterViolationsAreTypedErrors) {
     net::put_u32(junk, static_cast<std::uint32_t>(IngestMsg::kDone));
     w->send(junk);
     std::vector<Transport*> raw{c.get()};
-    EXPECT_THROW((void)coordinated_sparsify(raw, 16, 2, opt), NetError);
+    EXPECT_THROW((void)coordinated_query(raw, 16, 2, opt), NetError);
   }
   {  // n mismatch
     auto [c, w] = loopback_pair();
@@ -576,7 +587,7 @@ TEST(IngestProtocol, RosterViolationsAreTypedErrors) {
     net::put_u32(hello, 1);
     w->send(hello);
     std::vector<Transport*> raw{c.get()};
-    EXPECT_THROW((void)coordinated_sparsify(raw, 16, 2, opt), NetError);
+    EXPECT_THROW((void)coordinated_query(raw, 16, 2, opt), NetError);
   }
   {  // duplicate worker ids
     auto [c0, w0] = loopback_pair();
@@ -590,7 +601,7 @@ TEST(IngestProtocol, RosterViolationsAreTypedErrors) {
       w->send(hello);
     }
     std::vector<Transport*> raw{c0.get(), c1.get()};
-    EXPECT_THROW((void)coordinated_sparsify(raw, 16, 2, opt), NetError);
+    EXPECT_THROW((void)coordinated_query(raw, 16, 2, opt), NetError);
   }
   {  // fleet-size disagreement: a worker slicing for a 3-worker fleet would
      // leave stream updates ingested by nobody — the roster must catch it
@@ -603,7 +614,7 @@ TEST(IngestProtocol, RosterViolationsAreTypedErrors) {
     w->send(hello);
     std::vector<Transport*> raw{c.get()};
     try {
-      (void)coordinated_sparsify(raw, 16, 2, opt);
+      (void)coordinated_query(raw, 16, 2, opt);
       FAIL() << "fleet-size disagreement accepted";
     } catch (const NetError& e) {
       EXPECT_NE(std::string(e.what()).find("fleet"), std::string::npos) << e.what();
@@ -618,7 +629,7 @@ TEST(IngestProtocol, RosterViolationsAreTypedErrors) {
     net::put_u32(hello, 1);
     w->send(hello);
     std::vector<Transport*> raw{c.get()};
-    EXPECT_THROW((void)coordinated_sparsify(raw, 16, 2, opt), NetError);
+    EXPECT_THROW((void)coordinated_query(raw, 16, 2, opt), NetError);
   }
 }
 
